@@ -5,10 +5,11 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Ablation microbenchmarks (google-benchmark) for the design choices
-/// DESIGN.md calls out: per-transform-op dispatch cost, handle matching
-/// over growing payloads, invalidation tracking with many live handles, and
-/// macro (include) execution vs. pre-inlined scripts.
+/// Ablation microbenchmarks (google-benchmark) for the interpreter design
+/// choices README.md describes ("Matcher engine architecture" and "Table 1:
+/// pass manager vs. Transform script"): per-transform-op dispatch cost,
+/// handle matching over growing payloads, invalidation tracking with many
+/// live handles, and macro (include) execution vs. pre-inlined scripts.
 ///
 //===----------------------------------------------------------------------===//
 

@@ -415,11 +415,12 @@ void tdl::registerBuiltinIRDLConstraints() {
 FailureOr<std::string>
 tdl::runPassWithDynamicContractCheck(std::string_view PassName,
                                      const LoweringContract &Contract,
-                                     Operation *Target) {
+                                     Operation *Target,
+                                     std::string_view Anchor) {
   Context *Ctx = &Target->getContext();
   AbstractOpSet Before = AbstractOpSet::fromPayload(Target);
 
-  if (failed(runRegisteredPass(PassName, Target)))
+  if (failed(runRegisteredPass(PassName, Target, "", Anchor)))
     return failure();
 
   AbstractOpSet After = AbstractOpSet::fromPayload(Target);

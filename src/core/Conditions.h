@@ -204,11 +204,13 @@ void registerBuiltinIRDLConstraints();
 /// contract: ops matching Pre must be gone, newly introduced op kinds must
 /// be covered by Post, and constrained post-ops must satisfy their IRDL
 /// verifier. Returns failure when the pass itself fails; otherwise returns
-/// the violation message ("" when the contract holds).
+/// the violation message ("" when the contract holds). \p Anchor is the
+/// pipeline anchor, as for runRegisteredPass.
 FailureOr<std::string>
 runPassWithDynamicContractCheck(std::string_view PassName,
                                 const LoweringContract &Contract,
-                                Operation *Target);
+                                Operation *Target,
+                                std::string_view Anchor = "");
 
 } // namespace tdl
 

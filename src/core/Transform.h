@@ -229,7 +229,9 @@ public:
   /// Marks \p Handle consumed: it and every handle whose payload ops are
   /// identical to or nested within its payload become invalidated. Mappings
   /// are kept readable until overwritten so the consuming transform itself
-  /// can still access its operand.
+  /// can still access its operand. The payload closure is walked (and
+  /// counted in `interp.consume.closure_ops`) only when another live op
+  /// handle exists or the event log is on.
   void consume(Value Handle);
   bool isInvalidated(Value Handle) const {
     return Invalidated.count(Handle.getImpl()) != 0;
@@ -272,6 +274,10 @@ public:
   size_t getNumHandles() const { return HandleMap.size(); }
 
 private:
+  /// True when some op handle other than \p Except maps to payload and is
+  /// not invalidated, i.e. a consume of \p Except could invalidate it.
+  bool hasOtherLiveOpHandle(ValueImpl *Except) const;
+
   Operation *PayloadRoot;
   std::map<ValueImpl *, std::vector<Operation *>> HandleMap;
   std::map<ValueImpl *, std::vector<Attribute>> ParamMap;

@@ -92,10 +92,28 @@ void TransformState::setParams(Value Handle, std::vector<Attribute> Params) {
   Invalidated.erase(Handle.getImpl());
 }
 
+bool TransformState::hasOtherLiveOpHandle(ValueImpl *Except) const {
+  for (const auto &[Impl, Ops] : HandleMap)
+    if (Impl != Except && !Ops.empty() && !Invalidated.count(Impl))
+      return true;
+  return false;
+}
+
 void TransformState::consume(Value Handle) {
+  // Registered on first consume, so reports show the counter even when
+  // every consume takes the fast path below.
+  static telemetry::Counter &ClosureOps =
+      telemetry::counter("interp.consume.closure_ops");
   auto It = HandleMap.find(Handle.getImpl());
   Invalidated.insert(Handle.getImpl());
   if (It == HandleMap.end())
+    return;
+  // Only another live op handle can alias the consumed payload, and only
+  // worker states replay Consume events. With neither, the closure below
+  // could not invalidate anything: in a chain of consuming ops (a pass
+  // pipeline as apply_registered_pass ops) every earlier handle is already
+  // invalidated, so consume stays O(handles) instead of O(payload ops).
+  if (!EventLogEnabled && !hasOtherLiveOpHandle(Handle.getImpl()))
     return;
   // Snapshot the closure of the consumed payload — the ops themselves and
   // everything nested within them — while the IR is still intact. Alias
@@ -105,6 +123,7 @@ void TransformState::consume(Value Handle) {
   std::vector<Operation *> Closure;
   for (Operation *Mine : It->second)
     Mine->walk([&](Operation *Nested) { Closure.push_back(Nested); });
+  ClosureOps.add(static_cast<int64_t>(Closure.size()));
   invalidateAliasesByIdentity(Closure);
   if (EventLogEnabled) {
     PayloadEvent Event;

@@ -139,8 +139,11 @@ static void bindResult(TransformInterpreter &Interp, Operation *Op,
 /// auto-generated per-contract ops): applies the registered pass to each
 /// payload op of the consumed handle — through the dynamic contract checker
 /// when --check-conditions is active and the pass has a contract — and
-/// rebinds the surviving payload to result 0. An unknown pass name is a
-/// definite failure carrying the name, not a generic "pass failed".
+/// rebinds the surviving payload to result 0. An `anchor` attribute (set by
+/// buildTransformScriptFromPipeline for `func.func(pass)` elements) runs the
+/// pass on each nested op of that name, as the native pass manager does. An
+/// unknown pass name is a definite failure carrying the name, not a generic
+/// "pass failed".
 static DSF applyContractedPassToPayload(Operation *Op,
                                         TransformInterpreter &Interp,
                                         const std::string &PassName,
@@ -150,18 +153,19 @@ static DSF applyContractedPassToPayload(Operation *Op,
                          "': no such pass is registered");
   const LoweringContract *Contract =
       ContractRegistry::instance().lookup(PassName);
+  std::string_view Anchor = Op->getStringAttr("anchor");
   std::vector<Operation *> Payload =
       Interp.getState().getPayloadOps(Op->getOperand(0));
   for (Operation *Target : Payload) {
     if (Interp.getOptions().CheckConditions && Contract && Options.empty()) {
       FailureOr<std::string> CheckResult =
-          runPassWithDynamicContractCheck(PassName, *Contract, Target);
+          runPassWithDynamicContractCheck(PassName, *Contract, Target, Anchor);
       if (failed(CheckResult))
         return DSF::definite("pass '" + PassName + "' failed on payload op");
       if (!CheckResult->empty())
         return DSF::definite("dynamic contract violation in '" + PassName +
                              "': " + *CheckResult);
-    } else if (failed(runRegisteredPass(PassName, Target, Options))) {
+    } else if (failed(runRegisteredPass(PassName, Target, Options, Anchor))) {
       return DSF::definite("pass '" + PassName + "' failed on payload op");
     }
   }

@@ -48,13 +48,15 @@ void tdl::registerAllPasses() {
 }
 
 LogicalResult tdl::runRegisteredPass(std::string_view Name, Operation *Target,
-                                     std::string_view Options) {
+                                     std::string_view Options,
+                                     std::string_view Anchor) {
   const PassRegistration *Reg = PassRegistry::instance().lookup(Name);
   if (!Reg)
     return Target->emitError() << "unknown pass '" << Name << "'";
   std::unique_ptr<Pass> P = Reg->Factory();
   P->setOptions(std::string(Options));
-  const std::string &Anchor = P->getAnchorOpName();
+  if (Anchor.empty())
+    Anchor = P->getAnchorOpName();
   if (Anchor.empty() || Anchor == Target->getName())
     return P->run(Target);
   // Run on each matching op nested under the target.

@@ -70,8 +70,12 @@ LogicalResult convertScfToCf(Operation *Func);
 LogicalResult expandFloorCeilDivOps(Operation *Root);
 
 /// Runs the named registered pass on \p Target directly (no pass manager).
+/// A non-empty \p Anchor is a pipeline anchor (`func.func(pass)`): it
+/// overrides the registered one, so the pass runs on each op named \p Anchor
+/// at or under \p Target, exactly as buildPassManager's nested elements do.
 LogicalResult runRegisteredPass(std::string_view Name, Operation *Target,
-                                std::string_view Options = "");
+                                std::string_view Options = "",
+                                std::string_view Anchor = "");
 
 } // namespace tdl
 

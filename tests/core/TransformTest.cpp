@@ -7,10 +7,13 @@
 #include "core/Transform.h"
 
 #include "dialect/Dialects.h"
+#include "exec/Workloads.h"
 #include "ir/Parser.h"
 #include "ir/Verifier.h"
 #include "loops/LoopUtils.h"
 #include "lowering/Passes.h"
+#include "pass/Pass.h"
+#include "support/Telemetry.h"
 
 #include <gtest/gtest.h>
 
@@ -74,6 +77,11 @@ protected:
     int64_t Count = 0;
     Root->walk([&](Operation *Op) { Count += Op->getName() == Name; });
     return Count;
+  }
+
+  /// Process-wide total of ops walked into consume closures.
+  static int64_t closureOps() {
+    return telemetry::counter("interp.consume.closure_ops").get();
   }
 
   Context Ctx;
@@ -203,6 +211,89 @@ TEST_F(TransformTest, ConsumingLoopInvalidatesNestedHandles) {
   ScopedDiagnosticCapture Capture(Ctx.getDiagEngine());
   EXPECT_TRUE(failed(applyTransforms(Payload.get(), Script.get())));
   EXPECT_TRUE(Capture.contains("invalidated"));
+}
+
+TEST_F(TransformTest, ConsumeChainStillInvalidatesNestedHandle) {
+  registerAllPasses();
+  OwningOpRef Payload = makeFig1Payload();
+  // The first two consumes see no other live handle and skip the closure
+  // walk; the third must still invalidate %loop, nested in its payload.
+  OwningOpRef Script = makeScript(R"(
+    %m1 = "transform.apply_registered_pass"(%root) {pass_name = "cse"}
+      : (!transform.any_op) -> (!transform.any_op)
+    %m2 = "transform.apply_registered_pass"(%m1) {pass_name = "cse"}
+      : (!transform.any_op) -> (!transform.any_op)
+    %loop = "transform.match.op"(%m2) {op_name = "scf.for", first}
+      : (!transform.any_op) -> (!transform.any_op)
+    %m3 = "transform.apply_registered_pass"(%m2) {pass_name = "cse"}
+      : (!transform.any_op) -> (!transform.any_op)
+    "transform.annotate"(%loop) {name = "x"} : (!transform.any_op) -> ()
+  )");
+  int64_t Before = closureOps();
+  ScopedDiagnosticCapture Capture(Ctx.getDiagEngine());
+  EXPECT_TRUE(failed(applyTransforms(Payload.get(), Script.get())));
+  EXPECT_TRUE(Capture.contains("invalidated"));
+  // Only the third consume walks: the whole module.
+  int64_t ModuleOps = 0;
+  Payload->walk([&](Operation *) { ++ModuleOps; });
+  EXPECT_EQ(closureOps() - Before, ModuleOps);
+}
+
+TEST_F(TransformTest, ConsumeLeavesDisjointSiblingHandleLive) {
+  OwningOpRef Payload = makeFig1Payload();
+  // %lb is defined before the loops, outside the consumed loop's closure.
+  OwningOpRef Script = makeScript(R"(
+    %lb = "transform.match.op"(%root) {op_name = "arith.constant", first}
+      : (!transform.any_op) -> (!transform.any_op)
+    %outer = "transform.match.op"(%root) {op_name = "scf.for", first}
+      : (!transform.any_op) -> (!transform.any_op)
+    "transform.loop.unroll"(%outer) {factor = 2 : index}
+      : (!transform.any_op) -> ()
+    "transform.annotate"(%lb) {name = "kept"} : (!transform.any_op) -> ()
+  )");
+  int64_t Before = closureOps();
+  EXPECT_TRUE(succeeded(applyTransforms(Payload.get(), Script.get())));
+  int64_t Kept = 0;
+  Payload->walk([&](Operation *Op) { Kept += Op->hasAttr("kept"); });
+  EXPECT_EQ(Kept, 1);
+  EXPECT_GT(closureOps() - Before, 0);
+}
+
+TEST_F(TransformTest, Table1ScriptWalksNoConsumeClosure) {
+  registerAllPasses();
+  std::string Pipeline = workloads::getTosaPipeline();
+  OwningOpRef Script = buildTransformScriptFromPipeline(Ctx, Pipeline);
+  ASSERT_TRUE(Script);
+  int64_t ApplyOps = 0;
+  Script->walk([&](Operation *Op) {
+    ApplyOps += Op->getName() == "transform.apply_registered_pass";
+  });
+  EXPECT_EQ(ApplyOps, 14);
+
+  OwningOpRef Payload = workloads::buildSyntheticTosaModel(Ctx, 126, 7);
+  int64_t Before = closureOps();
+  EXPECT_TRUE(succeeded(applyTransforms(Payload.get(), Script.get())));
+  EXPECT_EQ(closureOps() - Before, 0);
+}
+
+TEST_F(TransformTest, EventLogStateRecordsFullConsumeClosure) {
+  OwningOpRef Payload = makeFig1Payload();
+  OwningOpRef Script = makeScript("");
+  Value Handle = Script->getRegion(0).front().getArgument(0);
+  // A commit-phase worker state: no other handle is live, but the engine
+  // replays the Consume event into the main state by pointer identity, so
+  // it must carry every op of the consumed payload.
+  TransformState State(Payload.get());
+  State.enableEventLog();
+  State.setPayload(Handle, {Payload.get()});
+  State.consume(Handle);
+  EXPECT_TRUE(State.isInvalidated(Handle));
+  std::vector<PayloadEvent> Events = State.takeEvents();
+  ASSERT_EQ(Events.size(), 1u);
+  EXPECT_EQ(Events[0].EventKind, PayloadEvent::Kind::Consume);
+  std::vector<Operation *> All;
+  Payload->walk([&](Operation *Op) { All.push_back(Op); });
+  EXPECT_EQ(Events[0].Ops, All);
 }
 
 TEST_F(TransformTest, AlternativesFallThrough) {
@@ -401,6 +492,52 @@ TEST_F(TransformTest, PipelineToScriptConversion) {
   OwningOpRef Payload = makeFig1Payload();
   EXPECT_TRUE(succeeded(applyTransforms(Payload.get(), Script.get())));
   EXPECT_EQ(countOps(Payload.get(), "scf.for"), 0);
+}
+
+TEST_F(TransformTest, PipelineAnchorSelectsPassTargetsInBothArms) {
+  registerAllPasses();
+  // Registered on the module, but nested under func.func in the pipeline:
+  // both arms must run it once per function, then once on the module.
+  static std::vector<std::string> Visited;
+  PassRegistry::instance().registerFnPass(
+      "test-record-targets", "Records the ops it runs on", "builtin.module",
+      [](Operation *Target, Pass &) {
+        Visited.push_back(std::string(Target->getName()) + "@" +
+                          std::string(Target->getStringAttr("sym_name")));
+        return success();
+      });
+  const char *Source = R"(
+    "builtin.module"() ({
+      "func.func"() ({
+        "func.return"() : () -> ()
+      }) {sym_name = "a", function_type = () -> ()} : () -> ()
+      "func.func"() ({
+        "func.return"() : () -> ()
+      }) {sym_name = "b", function_type = () -> ()} : () -> ()
+    }) : () -> ()
+  )";
+  std::string Pipeline =
+      "builtin.module(func.func(test-record-targets),test-record-targets)";
+  std::vector<std::string> Expected = {"func.func@a", "func.func@b",
+                                       "builtin.module@"};
+
+  OwningOpRef Native = parseSourceString(Ctx, Source);
+  ASSERT_TRUE(Native);
+  auto Elements = parsePassPipeline(Ctx, Pipeline);
+  ASSERT_TRUE(succeeded(Elements));
+  PassManager PM(Ctx);
+  ASSERT_TRUE(succeeded(buildPassManager(PM, *Elements)));
+  Visited.clear();
+  ASSERT_TRUE(succeeded(PM.run(Native.get())));
+  EXPECT_EQ(Visited, Expected);
+
+  OwningOpRef Scripted = parseSourceString(Ctx, Source);
+  ASSERT_TRUE(Scripted);
+  OwningOpRef Script = buildTransformScriptFromPipeline(Ctx, Pipeline);
+  ASSERT_TRUE(Script);
+  Visited.clear();
+  ASSERT_TRUE(succeeded(applyTransforms(Scripted.get(), Script.get())));
+  EXPECT_EQ(Visited, Expected);
 }
 
 TEST_F(TransformTest, UnregisteredTransformOpIsDefiniteError) {

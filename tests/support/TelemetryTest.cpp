@@ -175,7 +175,7 @@ TEST(LatencyHistogramTest, PercentilesSeparateFastAndSlowSamples) {
     D.recordNanos(1000000); // 1 ms
   for (int I = 0; I < 5; ++I)
     D.recordNanos(1000000000); // 1 s
-  const MetricsSnapshot::DurationValue &V =
+  MetricsSnapshot::DurationValue V =
       MetricsRegistry::instance().snapshot().Durations.at(
           "test.histogram.bimodal");
   // p50/p90 sit in the 1 ms bucket (upper bound 2^20-1 ns), p99 reaches the
@@ -196,7 +196,7 @@ TEST(LatencyHistogramTest, PercentileOfEmptyBucketsIsZero) {
 TEST(LatencyHistogramTest, SingleSampleIsExactViaClamping) {
   DurationStat &D = duration("test.histogram.single");
   D.recordNanos(1500);
-  const MetricsSnapshot::DurationValue &V =
+  MetricsSnapshot::DurationValue V =
       MetricsRegistry::instance().snapshot().Durations.at(
           "test.histogram.single");
   EXPECT_EQ(percentileNanos(V, 50), 1500);
