@@ -24,6 +24,7 @@
 #include "core/TransformLibrary.h"
 #include "dialect/Dialects.h"
 #include "ir/Parser.h"
+#include "support/Telemetry.h"
 
 #include <cstdlib>
 #include <fstream>
@@ -333,13 +334,15 @@ static void runShardSweep(int NumFuncs, const std::vector<unsigned> &Shards,
     OwningOpRef Mod = parseSourceString(Ctx, Payload);
     TransformOptions Options;
     Options.MatchShards = NumShards;
-    int64_t MatcherRuns = 0;
+    // Every repeat does identical work; the window spans all of them.
+    telemetry::MetricsWindow Window;
     double Seconds = minSeconds(Repeats, [&] {
       TransformInterpreter Interp(Mod.get(), Script.get(), Options);
       if (failed(Interp.run()))
         std::printf("foreach_match script failed\n");
-      MatcherRuns = Interp.NumMatcherInvocations;
     });
+    int64_t MatcherRuns =
+        Window.counter("interp.matcher_invocations") / Repeats;
     if (Baseline == 0.0)
       Baseline = Seconds;
     std::printf("%8u | %14.6f | %8.2fx | %12lld\n", NumShards, Seconds,
@@ -387,14 +390,16 @@ static void runShardSweep(int NumFuncs, const std::vector<unsigned> &Shards,
       OwningOpRef Mod = parseSourceString(Ctx, Payload);
       TransformOptions Options;
       Options.CommitShards = NumShards;
-      int64_t Parallel = 0, Serial = 0;
+      telemetry::MetricsWindow Window;
       double Seconds = minSeconds(Repeats, [&] {
         TransformInterpreter Interp(Mod.get(), Used, Options);
         if (failed(Interp.run()))
           std::printf("commit-sweep script failed\n");
-        Parallel = Interp.NumParallelCommitPartitions;
-        Serial = Interp.NumSerialCommitPartitions;
       });
+      int64_t Parallel =
+          Window.counter("engine.commit.parallel_partitions") / Repeats;
+      int64_t Serial =
+          Window.counter("engine.commit.serial_partitions") / Repeats;
       if (CommitBaseline == 0.0)
         CommitBaseline = Seconds;
       std::printf("%-15s | %8u | %16.6f | %8.2fx | %9lld | %8lld\n", Label,
@@ -622,14 +627,16 @@ static void runRow(int NumFuncs, int NumCold, int Repeats = 5) {
 
   // Counter run (not timed): how much transform-IR work each style does.
   OwningOpRef Mod = parseSourceString(Ctx, Payload);
+  telemetry::MetricsWindow Window;
   TransformInterpreter Interp(Mod.get(), ForeachScript.get());
   (void)Interp.run();
 
   std::printf("%8d %6zu | %14.6f %14.6f | %8.2fx | %12lld %12lld\n",
               NumFuncs, Categories.size(), Sequential, Foreach,
               Sequential / Foreach,
-              static_cast<long long>(Interp.NumExecutedOps),
-              static_cast<long long>(Interp.NumMatcherInvocations));
+              static_cast<long long>(Window.counter("interp.executed_ops")),
+              static_cast<long long>(
+                  Window.counter("interp.matcher_invocations")));
 }
 
 int main(int argc, char **argv) {

@@ -25,6 +25,7 @@
 #include "dialect/Dialects.h"
 #include "ir/Parser.h"
 #include "support/Stream.h"
+#include "support/Telemetry.h"
 
 using namespace tdl;
 
@@ -105,6 +106,7 @@ int main() {
   for (unsigned Shards : {1u, 4u}) {
     TransformOptions Options;
     Options.MatchShards = Shards;
+    telemetry::MetricsWindow Window;
     TransformInterpreter Interp(Payload.get(), Script.get(), Options);
     if (failed(Interp.run())) {
       errs() << "transform script failed\n";
@@ -114,7 +116,8 @@ int main() {
     Payload->walk(
         [&](Operation *Op) { Collected += Op->hasAttr("prefetch"); });
     outs() << "match-shards=" << Shards << ": collected " << Collected
-           << " rank-2 loads (" << Interp.NumMatcherInvocations
+           << " rank-2 loads ("
+           << Window.counter("interp.matcher_invocations")
            << " matcher invocations)\n";
   }
 

@@ -12,7 +12,10 @@
 
 #include <algorithm>
 #include <atomic>
+#include <set>
 #include <thread>
+#include <unordered_set>
+#include <utility>
 
 using namespace tdl;
 
@@ -268,12 +271,7 @@ FailureOr<bool> MatcherEngine::evaluateApplicability(
 
 DSF MatcherEngine::tryCandidate(TransformInterpreter &Scratch,
                                 ThreadDiagnosticCapture &Capture,
-                                Operation *Candidate,
-                                std::set<Operation *> &Visited,
-                                std::vector<Match> &Out,
-                                std::vector<Diagnostic> &ErrDiags) {
-  if (!Visited.insert(Candidate).second)
-    return DSF::success();
+                                Operation *Candidate, std::vector<Match> &Out) {
   Context &Ctx = DriverOp->getContext();
   for (size_t P = 0; P < Pairs.size(); ++P) {
     const Pair &ThePair = Pairs[P];
@@ -296,12 +294,10 @@ DSF MatcherEngine::tryCandidate(TransformInterpreter &Scratch,
 
     Block &MatcherBody = ThePair.Matcher->getRegion(0).front();
     Scratch.getState().setPayload(MatcherBody.getArgument(0), {Candidate});
-    ++Scratch.NumMatcherInvocations;
     static telemetry::Counter &MatcherInvocations =
         telemetry::counter("interp.matcher_invocations");
     MatcherInvocations.add();
     DSF MatchResult = DSF::success();
-    std::vector<Diagnostic> MatcherDiags;
     {
       std::string SpanName;
       if (telemetry::spansActive())
@@ -312,26 +308,23 @@ DSF MatcherEngine::tryCandidate(TransformInterpreter &Scratch,
       TransformInterpreter::MatcherScope Scope(Scratch);
       // Matcher failures are the expected "not this op" signal, so their
       // diagnostics are silenced; diagnostics of a matcher that succeeds
-      // (or aborts) are replayed after the merge so
-      // transform.debug.emit_remark stays usable inside matchers. The
+      // (or aborts) stay captured and are replayed with the unit's output,
+      // so transform.debug.emit_remark stays usable inside matchers. The
       // worker's capture is per-thread (no race on the engine-wide
-      // handler) and reset per invocation.
-      Capture.clear();
+      // handler).
+      size_t CapturedBefore = Capture.getDiagnostics().size();
       MatchResult = Scratch.executeBlock(MatcherBody);
-      if (!MatchResult.isSilenceable())
-        MatcherDiags = Capture.takeDiagnostics();
+      if (MatchResult.isSilenceable())
+        Capture.truncate(CapturedBefore);
     }
-    if (MatchResult.isDefinite()) {
-      ErrDiags = std::move(MatcherDiags);
+    if (MatchResult.isDefinite())
       return MatchResult;
-    }
     if (MatchResult.isSilenceable())
       continue;
 
     Match M;
     M.PairIdx = P;
     M.Candidate = Candidate;
-    M.MatcherDiags = std::move(MatcherDiags);
     // The matcher's yield operands are forwarded to the commit phase; a
     // yield without operands forwards the candidate itself. Values are
     // recorded raw here (the phase is pure, nothing can invalidate them
@@ -374,27 +367,69 @@ struct WalkUnit {
   bool Recurse = false;
 };
 
-/// The first definite matcher failure a worker hit, with its position so
-/// the merge can reconstruct the serial failure point.
+/// The first definite matcher failure a worker hit, with its unit so the
+/// merge can reconstruct the serial failure point.
 struct WorkerOutcome {
   size_t ErrorUnit = static_cast<size_t>(-1);
   DiagnosedSilenceableFailure Error = DiagnosedSilenceableFailure::success();
-  std::vector<Diagnostic> ErrorDiags;
 };
 
 } // namespace
 
+MatcherEngine::WorkerOutput
+MatcherEngine::drainWorkerOutput(TransformInterpreter &Worker,
+                                 ThreadDiagnosticCapture &Capture) {
+  WorkerOutput Output;
+  Output.Diags = Capture.takeDiagnostics();
+  Output.Trace = std::exchange(Worker.TraceLog, std::string());
+  Output.Events = Worker.getState().takeEvents();
+  return Output;
+}
+
+void MatcherEngine::replayWorkerOutput(const WorkerOutput &Output) {
+  DiagnosticEngine &DiagEngine = DriverOp->getContext().getDiagEngine();
+  for (const Diagnostic &Diag : Output.Diags)
+    DiagEngine.report(Diag);
+  Interp.TraceLog += Output.Trace;
+  TransformState &State = Interp.getState();
+  for (const PayloadEvent &Event : Output.Events) {
+    if (Event.EventKind == PayloadEvent::Kind::Replace)
+      State.replacePayloadOp(Event.Old, Event.Ops);
+    else
+      State.invalidateAliasesByIdentity(Event.Ops);
+  }
+}
+
 DSF MatcherEngine::match(const std::vector<Operation *> &Roots,
                          bool RestrictRoot, std::vector<Match> &Out) {
+  // Ownership is settled before the walk: each payload op belongs to the
+  // first unit, in serial order, that can reach it. With several roots
+  // (duplicated or nested), a unit an earlier unit already covers is
+  // dropped here, and a recursive walk skips the ops and subtrees earlier
+  // units own, so every op is offered exactly once at any shard count. A
+  // single root decomposes into disjoint units and needs none of this.
+  bool MultiRoot = Roots.size() > 1;
+  std::unordered_set<Operation *> OwnedAlone, OwnedSubtrees;
   std::vector<WalkUnit> Units;
+  auto AddUnit = [&](Operation *Root, bool Recurse) {
+    if (MultiRoot) {
+      if (!Recurse && OwnedAlone.count(Root))
+        return;
+      for (Operation *Cur = Root; Cur; Cur = Cur->getParentOp())
+        if (OwnedSubtrees.count(Cur))
+          return;
+      (Recurse ? OwnedSubtrees : OwnedAlone).insert(Root);
+    }
+    Units.push_back({Root, Recurse});
+  };
   for (Operation *Root : Roots) {
-    Units.push_back({Root, false});
+    AddUnit(Root, false);
     if (RestrictRoot)
       continue;
     for (unsigned R = 0; R < Root->getNumRegions(); ++R)
       for (Block &B : Root->getRegion(R))
         for (Operation *Child : B)
-          Units.push_back({Child, true});
+          AddUnit(Child, true);
   }
   if (Units.empty() || Pairs.empty())
     return DSF::success();
@@ -410,65 +445,63 @@ DSF MatcherEngine::match(const std::vector<Operation *> &Roots,
   MatchSpan.arg("units", static_cast<int64_t>(Units.size()));
   MatchSpan.arg("shards", static_cast<int64_t>(NumShards));
 
-  // Per-unit match lists (and trace-line buffers) are written by exactly
-  // one worker each, so the sharded walk needs no locking; the merge below
-  // reassembles serial walk order deterministically from them.
+  // Per-unit match lists and outputs are written by exactly one worker
+  // each, so the sharded walk needs no locking; the merge below replays
+  // them in serial walk order.
   std::vector<std::vector<Match>> PerUnit(Units.size());
-  std::vector<std::string> PerUnitTrace(Units.size());
+  std::vector<WorkerOutput> UnitOutputs(Units.size());
   std::vector<WorkerOutcome> Outcomes(NumShards);
 
   Operation *PayloadRoot = Interp.getState().getPayloadRoot();
   Operation *ScriptRoot = Interp.getScriptRoot();
   TransformOptions ScratchOptions = Interp.getOptions();
 
-  auto RunWorker = [&](unsigned Shard, TransformInterpreter &Scratch) {
+  auto RunWorker = [&](unsigned Shard) {
+    // Serial or not, the walk runs against a scratch state: the driver's
+    // state never sees matcher-body bindings.
+    TransformInterpreter Scratch(PayloadRoot, ScriptRoot, ScratchOptions);
     telemetry::ScopedSpan ShardSpan("match:walk-shard", "engine");
     ShardSpan.arg("shard", static_cast<int64_t>(Shard));
-    // Visited spans all of this worker's units: an op reachable from two of
-    // them (nested or duplicate roots) is offered once, like the serial
-    // walk; cross-worker duplicates are dropped at merge time.
-    std::set<Operation *> Visited;
-    // One capture per worker, reset per matcher invocation: the worker only
-    // reports diagnostics from inside matcher bodies, so keeping the
-    // capture installed across the whole walk is safe and avoids a
-    // handler swap per invocation.
+    // One capture per worker, drained per unit: the worker only reports
+    // diagnostics from inside matcher bodies, so keeping the capture
+    // installed across the whole walk is safe and avoids a handler swap
+    // per invocation.
     ThreadDiagnosticCapture Capture;
     // No cross-worker abort on a definite error: every unit below the
     // merge's eventual stop point must be complete so the failure path
-    // replays exactly the diagnostics the serial walk would have emitted
+    // replays exactly the output the serial walk would have produced
     // before the error. A worker processes its units in increasing order,
     // so everything it owns below its own error point is already done; the
     // wasted work in other workers is bounded by one (rare, fatal) error.
     for (size_t U = Shard; U < Units.size(); U += NumShards) {
+      Operation *UnitRoot = Units[U].Root;
       auto Offer = [&](Operation *Candidate) -> WalkResult {
-        std::vector<Diagnostic> ErrDiags;
-        DSF Result = tryCandidate(Scratch, Capture, Candidate, Visited,
-                                  PerUnit[U], ErrDiags);
+        if (MultiRoot && Units[U].Recurse) {
+          if (Candidate != UnitRoot && OwnedSubtrees.count(Candidate))
+            return WalkResult::Skip;
+          if (OwnedAlone.count(Candidate))
+            return WalkResult::Advance;
+        }
+        DSF Result = tryCandidate(Scratch, Capture, Candidate, PerUnit[U]);
         if (Result.isDefinite()) {
-          Outcomes[Shard] = {U, std::move(Result), std::move(ErrDiags)};
+          Outcomes[Shard] = {U, std::move(Result)};
           return WalkResult::Interrupt;
         }
         return WalkResult::Advance;
       };
-      WalkResult UnitResult = Units[U].Recurse
-                                  ? Units[U].Root->walkPre(Offer)
-                                  : Offer(Units[U].Root);
+      WalkResult UnitResult =
+          Units[U].Recurse ? UnitRoot->walkPre(Offer) : Offer(UnitRoot);
       // Drain after the walk outcome is known: an erroring unit's partial
-      // trace is exactly what the serial walk would have printed before the
-      // failure, and the merge replays it up to StopUnit.
-      PerUnitTrace[U] = Scratch.takeTraceLog();
+      // output is exactly what the serial walk would have produced before
+      // the failure, and the merge replays it up to StopUnit.
+      UnitOutputs[U] = drainWorkerOutput(Scratch, Capture);
       if (UnitResult == WalkResult::Interrupt)
         return;
     }
   };
 
   if (NumShards <= 1) {
-    // Serial walk, still against a scratch state: the driver's state never
-    // sees matcher-body bindings in either mode.
-    TransformInterpreter Scratch(PayloadRoot, ScriptRoot, ScratchOptions);
-    RunWorker(0, Scratch);
-    Interp.NumMatcherInvocations += Scratch.NumMatcherInvocations;
-    Interp.NumExecutedOps += Scratch.NumExecutedOps;
+    RunWorker(0);
   } else {
     // Warm the per-OpInfo TransformOpDef cache for every op a matcher can
     // execute: the lazy fill in lookupTransformOpDef is a benign-value but
@@ -479,27 +512,16 @@ DSF MatcherEngine::match(const std::vector<Operation *> &Roots,
         if (Nested->getDialectName() == "transform")
           (void)lookupTransformOpDef(Nested);
       });
-    std::vector<std::unique_ptr<TransformInterpreter>> Scratches;
-    for (unsigned S = 0; S < NumShards; ++S)
-      Scratches.push_back(std::make_unique<TransformInterpreter>(
-          PayloadRoot, ScriptRoot, ScratchOptions));
     std::vector<std::thread> Workers;
     Workers.reserve(NumShards);
     for (unsigned S = 0; S < NumShards; ++S)
-      Workers.emplace_back([&, S] { RunWorker(S, *Scratches[S]); });
+      Workers.emplace_back([&, S] { RunWorker(S); });
     for (std::thread &Worker : Workers)
       Worker.join();
-    for (std::unique_ptr<TransformInterpreter> &Scratch : Scratches) {
-      Interp.NumMatcherInvocations += Scratch->NumMatcherInvocations;
-      Interp.NumExecutedOps += Scratch->NumExecutedOps;
-    }
   }
 
-  // Merge back into serial walk order. Ops reachable from more than one
-  // unit were offered once per owning worker; the earliest unit claims
-  // them, matching the serial visit-once rule (matchers are pure, so every
-  // worker saw the same outcome). Successful matchers' diagnostics are
-  // replayed here, in merged order.
+  // Merge back into serial walk order, up to and including the earliest
+  // failing unit.
   size_t StopUnit = Units.size();
   const WorkerOutcome *FirstError = nullptr;
   for (const WorkerOutcome &Outcome : Outcomes)
@@ -507,25 +529,12 @@ DSF MatcherEngine::match(const std::vector<Operation *> &Roots,
       StopUnit = Outcome.ErrorUnit;
       FirstError = &Outcome;
     }
-  DiagnosticEngine &DiagEngine = DriverOp->getContext().getDiagEngine();
-  std::set<Operation *> Claimed;
   for (size_t U = 0; U < Units.size() && U <= StopUnit; ++U) {
-    Interp.appendTraceLog(PerUnitTrace[U]);
-    for (Match &M : PerUnit[U]) {
-      if (!Claimed.insert(M.Candidate).second)
-        continue;
-      for (const Diagnostic &Diag : M.MatcherDiags)
-        DiagEngine.report(Diag);
-      M.MatcherDiags.clear();
+    replayWorkerOutput(UnitOutputs[U]);
+    for (Match &M : PerUnit[U])
       Out.push_back(std::move(M));
-    }
   }
-  if (FirstError) {
-    for (const Diagnostic &Diag : FirstError->ErrorDiags)
-      DiagEngine.report(Diag);
-    return FirstError->Error;
-  }
-  return DSF::success();
+  return FirstError ? FirstError->Error : DSF::success();
 }
 
 //===----------------------------------------------------------------------===//
@@ -561,6 +570,22 @@ static bool isStaleMatch(const TransformState &State,
       return true;
   }
   return false;
+}
+
+/// Commits Pinned[Begin, End) in walk order through \p Worker, skipping
+/// stale matches; stops at the first failing action.
+static DSF commitRange(TransformInterpreter &Worker,
+                       const std::vector<MatcherEngine::PinnedMatch> &Pinned,
+                       size_t Begin, size_t End,
+                       const MatcherEngine::CommitAction &Act) {
+  for (size_t I = Begin; I < End; ++I) {
+    if (isStaleMatch(Worker.getState(), Pinned[I]))
+      continue;
+    DSF Result = Act(Worker, Pinned[I]);
+    if (!Result.succeeded())
+      return Result;
+  }
+  return DSF::success();
 }
 
 /// The conflict-partition key of a commit candidate: its ancestor that is a
@@ -704,7 +729,6 @@ const std::string &MatcherEngine::actionSerialReason(size_t PairIdx) {
 
 DSF MatcherEngine::commit(std::vector<Match> &Matches, const CommitAction &Act,
                           bool ClientRequiresSerial) {
-  TransformState &State = Interp.getState();
   static telemetry::DurationStat &CommitStat =
       telemetry::duration("engine.commit");
   telemetry::ScopedTimer CommitTimer(CommitStat);
@@ -738,16 +762,8 @@ DSF MatcherEngine::commit(std::vector<Match> &Matches, const CommitAction &Act,
   // in walk order, exactly like diagnostics. The conflict-analysis probe
   // counters stay untouched here — they describe the partitioned path only.
   unsigned NumShards = std::max(1u, Interp.getOptions().CommitShards);
-  if (NumShards <= 1 || ClientRequiresSerial || Pinned.size() <= 1) {
-    for (const PinnedMatch &PM : Pinned) {
-      if (isStaleMatch(State, PM))
-        continue;
-      DSF Result = Act(Interp, PM);
-      if (!Result.succeeded())
-        return Result;
-    }
-    return DSF::success();
-  }
+  if (NumShards <= 1 || ClientRequiresSerial || Pinned.size() <= 1)
+    return commitRange(Interp, Pinned, 0, Pinned.size(), Act);
   return commitPartitioned(Pinned, Act, NumShards);
 }
 
@@ -757,7 +773,6 @@ DSF MatcherEngine::commitPartitioned(std::vector<PinnedMatch> &Pinned,
   TransformState &State = Interp.getState();
   Operation *PayloadRoot = State.getPayloadRoot();
   Operation *ScriptRoot = Interp.getScriptRoot();
-  DiagnosticEngine &DiagEngine = DriverOp->getContext().getDiagEngine();
 
   // --- Build the conflict partition: maximal contiguous runs of matches
   // sharing a partition key, in walk order.
@@ -854,21 +869,12 @@ DSF MatcherEngine::commitPartitioned(std::vector<PinnedMatch> &Pinned,
   // Runs one partition on the driver interpreter (pins live in the driver
   // state already); used for barriers and single-partition waves.
   auto RunSerialPartition = [&](const Partition &Part) -> DSF {
-    ++Interp.NumSerialCommitPartitions;
     static telemetry::Counter &SerialPartitions =
         telemetry::counter("engine.commit.serial_partitions");
     SerialPartitions.add();
     telemetry::ScopedSpan PartSpan("commit:serial-partition", "engine");
     PartSpan.arg("matches", static_cast<int64_t>(Part.End - Part.Begin));
-    for (size_t I = Part.Begin; I < Part.End; ++I) {
-      const PinnedMatch &PM = Pinned[I];
-      if (isStaleMatch(State, PM))
-        continue;
-      DSF Result = Act(Interp, PM);
-      if (!Result.succeeded())
-        return Result;
-    }
-    return DSF::success();
+    return commitRange(Interp, Pinned, Part.Begin, Part.End, Act);
   };
 
   // Runs the maximal run of parallel-safe partitions [WaveBegin, WaveEnd)
@@ -907,9 +913,7 @@ DSF MatcherEngine::commitPartitioned(std::vector<PinnedMatch> &Pinned,
 
     // Each slot is written by exactly one worker; the merge reads them after
     // the join.
-    std::vector<std::vector<Diagnostic>> PartDiags(WaveSize);
-    std::vector<std::string> PartTrace(WaveSize);
-    std::vector<std::vector<PayloadEvent>> PartEvents(WaveSize);
+    std::vector<WorkerOutput> PartOutputs(WaveSize);
     std::vector<DSF> PartResults(WaveSize, DSF::success());
     // Earliest failed partition (wave-relative); workers skip partitions
     // past it. Partitions *before* it always complete, so the merge can
@@ -925,22 +929,12 @@ DSF MatcherEngine::commitPartitioned(std::vector<PinnedMatch> &Pinned,
       for (size_t K = W; K < WaveSize; K += NumWorkers) {
         if (K > MinFailed.load(std::memory_order_acquire))
           continue;
-        Capture.clear();
         const Partition &Part = Partitions[WaveBegin + K];
         telemetry::ScopedSpan PartSpan("commit:partition", "engine");
         PartSpan.arg("matches", static_cast<int64_t>(Part.End - Part.Begin));
-        DSF PartResult = DSF::success();
-        for (size_t I = Part.Begin; I < Part.End; ++I) {
-          const PinnedMatch &PM = Pinned[I];
-          if (isStaleMatch(Worker.getState(), PM))
-            continue;
-          PartResult = Act(Worker, PM);
-          if (!PartResult.succeeded())
-            break;
-        }
-        PartDiags[K] = Capture.takeDiagnostics();
-        PartTrace[K] = Worker.takeTraceLog();
-        PartEvents[K] = Worker.getState().takeEvents();
+        DSF PartResult =
+            commitRange(Worker, Pinned, Part.Begin, Part.End, Act);
+        PartOutputs[K] = drainWorkerOutput(Worker, Capture);
         if (!PartResult.succeeded()) {
           PartResults[K] = std::move(PartResult);
           size_t Cur = MinFailed.load(std::memory_order_acquire);
@@ -958,32 +952,17 @@ DSF MatcherEngine::commitPartitioned(std::vector<PinnedMatch> &Pinned,
     for (std::thread &T : Threads)
       T.join();
 
-    for (std::unique_ptr<TransformInterpreter> &Worker : Workers) {
-      Interp.NumExecutedOps += Worker->NumExecutedOps;
-      Interp.NumMatcherInvocations += Worker->NumMatcherInvocations;
-    }
-
-    // Replay per-partition diagnostics and payload-tracking events into the
-    // driver in walk order, up to and including the earliest failing
-    // partition (its action ran, exactly as it would have serially; later
-    // partitions that raced ahead are dropped — the run aborts anyway).
+    // Replay per-partition output into the driver in walk order, up to and
+    // including the earliest failing partition (its action ran, exactly as
+    // it would have serially; later partitions that raced ahead are
+    // dropped — the run aborts anyway).
     size_t Failed = MinFailed.load(std::memory_order_acquire);
     size_t ReplayEnd = Failed == WaveSize ? WaveSize : Failed + 1;
-    for (size_t K = 0; K < ReplayEnd; ++K) {
-      ++Interp.NumParallelCommitPartitions;
-      static telemetry::Counter &ParallelPartitions =
-          telemetry::counter("engine.commit.parallel_partitions");
-      ParallelPartitions.add();
-      Interp.appendTraceLog(PartTrace[K]);
-      for (const Diagnostic &Diag : PartDiags[K])
-        DiagEngine.report(Diag);
-      for (const PayloadEvent &Event : PartEvents[K]) {
-        if (Event.EventKind == PayloadEvent::Kind::Replace)
-          State.replacePayloadOp(Event.Old, Event.Ops);
-        else
-          State.invalidateAliasesByIdentity(Event.Ops);
-      }
-    }
+    static telemetry::Counter &ParallelPartitions =
+        telemetry::counter("engine.commit.parallel_partitions");
+    ParallelPartitions.add(static_cast<int64_t>(ReplayEnd));
+    for (size_t K = 0; K < ReplayEnd; ++K)
+      replayWorkerOutput(PartOutputs[K]);
     if (Failed != WaveSize)
       return PartResults[Failed];
     return DSF::success();

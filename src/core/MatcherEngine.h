@@ -56,7 +56,6 @@
 
 #include <functional>
 #include <memory>
-#include <set>
 #include <string>
 #include <vector>
 
@@ -141,10 +140,6 @@ public:
     /// The matcher's yield operands (the candidate itself for an
     /// operand-less yield), in yield order.
     std::vector<ForwardedValue> Values;
-    /// Diagnostics the successful matcher emitted (remarks etc.), replayed
-    /// in merge order so `transform.debug.emit_remark` stays usable inside
-    /// matchers even under the sharded walk.
-    std::vector<Diagnostic> MatcherDiags;
   };
 
   /// One forwarded value pinned for the commit phase: a tracked synthetic
@@ -219,10 +214,11 @@ public:
   /// Match phase. Walks every root (pre-order; only the roots themselves
   /// when \p RestrictRoot), offering each op to the pairs in order, and
   /// appends the matches to \p Out in deterministic walk order. Each payload
-  /// op is claimed at most once even when roots are duplicated or nested.
+  /// op is offered at most once even when roots are duplicated or nested.
   /// Runs sharded across `TransformOptions::MatchShards` worker threads when
-  /// that is > 1; the result is identical to the serial walk either way.
-  /// Returns the first definite matcher failure, if any.
+  /// that is > 1; the matches, diagnostics, trace lines, and counters are
+  /// identical to the serial walk either way. Returns the first definite
+  /// matcher failure, if any.
   DiagnosedSilenceableFailure match(const std::vector<Operation *> &Roots,
                                     bool RestrictRoot,
                                     std::vector<Match> &Out);
@@ -279,6 +275,22 @@ private:
     bool SerialReasonAnalyzed = false;
   };
 
+  /// What one match unit or commit partition produced on its worker, kept
+  /// until the merge replays it into the driver in serial walk order.
+  struct WorkerOutput {
+    std::vector<Diagnostic> Diags;
+    std::string Trace;
+    std::vector<PayloadEvent> Events; ///< Commit partitions only.
+  };
+
+  /// Moves the diagnostics captured so far, \p Worker's buffered trace
+  /// lines, and its payload-tracking events out into one record.
+  static WorkerOutput drainWorkerOutput(TransformInterpreter &Worker,
+                                        ThreadDiagnosticCapture &Capture);
+  /// Reports \p Output's diagnostics, appends its trace lines to the
+  /// driver's buffer, and applies its payload events to the driver's state.
+  void replayWorkerOutput(const WorkerOutput &Output);
+
   /// Returns (computing and caching on first use) the pair's locality
   /// verdict; see Pair::SerialReason.
   const std::string &actionSerialReason(size_t PairIdx);
@@ -290,15 +302,13 @@ private:
                     unsigned NumShards);
 
   /// Offers \p Candidate to the pairs in order using the scratch
-  /// interpreter \p Scratch and the walk worker's diagnostic capture;
-  /// records a claim into \p Out. Definite matcher failures return with
-  /// their captured diagnostics in \p ErrDiags.
+  /// interpreter \p Scratch and records a claim into \p Out. Diagnostics
+  /// of matchers that succeed or fail definitely stay in the walk worker's
+  /// \p Capture; those of silenceable ("not this op") failures are dropped.
   DiagnosedSilenceableFailure tryCandidate(TransformInterpreter &Scratch,
                                            ThreadDiagnosticCapture &Capture,
                                            Operation *Candidate,
-                                           std::set<Operation *> &Visited,
-                                           std::vector<Match> &Out,
-                                           std::vector<Diagnostic> &ErrDiags);
+                                           std::vector<Match> &Out);
 
   TransformInterpreter &Interp;
   Operation *DriverOp;

@@ -387,27 +387,13 @@ public:
                                                 std::string_view AttrName,
                                                 unsigned FirstParamOperand);
 
-  /// Statistics for the ablation benchmarks.
-  int64_t NumExecutedOps = 0;
-  /// Number of matcher-sequence invocations performed by foreach_match.
-  int64_t NumMatcherInvocations = 0;
-  /// Conflict-analysis probe counters for the parallel commit phase
-  /// (CommitShards > 1): partitions committed concurrently on worker
-  /// threads vs. partitions that fell back to the serial in-order path.
-  /// Untouched when the serial fast path runs (shards <= 1 or a client
-  /// that requires serial commit).
-  int64_t NumParallelCommitPartitions = 0;
-  int64_t NumSerialCommitPartitions = 0;
-
-  /// Buffered `[transform] <op>` lines (TransformOptions::Trace). Scratch
-  /// interpreters on engine worker threads buffer privately; the engine
-  /// drains per-unit (match) or per-partition (commit) and replays the
-  /// pieces in serial walk order, so the merged trace is byte-identical to
-  /// the single-threaded run. The driver flushes once at the end of run().
-  std::string takeTraceLog() { return std::move(TraceLog); }
-  void appendTraceLog(std::string_view Text) { TraceLog += Text; }
-  /// Writes the buffered lines to TransformOptions::TraceStream (errs()
-  /// when unset) and clears the buffer.
+  /// Writes the buffered `[transform] <op>` lines (TransformOptions::Trace)
+  /// to TransformOptions::TraceStream (errs() when unset) and clears the
+  /// buffer. Scratch interpreters on engine worker threads buffer
+  /// privately; the MatcherEngine drains each match unit or commit
+  /// partition and replays it into the driver in serial walk order, so the
+  /// merged trace is byte-identical to the single-threaded run. The driver
+  /// flushes once at the end of run().
   void flushTraceLog();
 
 private:
@@ -417,6 +403,7 @@ private:
   TransformState State;
   bool MatcherMode = false;
   std::string TraceLog;
+  friend class MatcherEngine; // Drains and replays worker TraceLogs.
 };
 
 /// One-call entry point: interprets \p Script (a named_sequence /sequence op

@@ -318,7 +318,6 @@ void TransformInterpreter::flushTraceLog() {
 }
 
 DiagnosedSilenceableFailure TransformInterpreter::executeOp(Operation *Op) {
-  ++NumExecutedOps;
   static telemetry::Counter &ExecutedOps =
       telemetry::counter("interp.executed_ops");
   ExecutedOps.add();

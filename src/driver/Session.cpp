@@ -4,7 +4,7 @@
 //
 //===----------------------------------------------------------------------===//
 
-#include "support/Session.h"
+#include "driver/Session.h"
 
 #include "ad/AutoDiff.h"
 #include "core/Analysis.h"
@@ -62,12 +62,10 @@ Session::Session(RunOptions Options, raw_ostream &OS, raw_ostream &ES)
   registerTransformDialect(Ctx);
   registerAutoDiffSupport(Ctx);
   registerBuiltinIRDLConstraints();
-  Baseline = telemetry::MetricsRegistry::instance().snapshot();
 }
 
 telemetry::MetricsSnapshot Session::snapshotMetrics() const {
-  return telemetry::diffSnapshots(
-      telemetry::MetricsRegistry::instance().snapshot(), Baseline);
+  return Window.diff();
 }
 
 LogicalResult Session::loadLibraries() {
@@ -148,8 +146,8 @@ void Session::echoOptionsIntoReport() {
 LogicalResult Session::run() {
   // Re-open the metrics window per run: a second run() on the same Session
   // must not re-report the first run's metrics. The run counter bumps after
-  // the baseline so it lands inside its own window.
-  Baseline = telemetry::MetricsRegistry::instance().snapshot();
+  // the window opens so it lands inside its own window.
+  Window = telemetry::MetricsWindow();
   telemetry::counter("session.runs").add();
 
   Report = RunReport();

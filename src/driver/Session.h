@@ -19,14 +19,12 @@
 ///
 /// `tdl-opt` is a thin argv-to-RunOptions parser over this class; a future
 /// compile server reuses the same steps per request (load/scan once, run
-/// many). The file lives in support/ as the stack's public entry point but
-/// compiles into the top (strategy) layer — it is a facade over everything
-/// below, not a support utility.
+/// many). It is the top (driver) layer: a facade over everything below.
 ///
 //===----------------------------------------------------------------------===//
 
-#ifndef TDL_SUPPORT_SESSION_H
-#define TDL_SUPPORT_SESSION_H
+#ifndef TDL_DRIVER_SESSION_H
+#define TDL_DRIVER_SESSION_H
 
 #include "autotune/TuningDB.h"
 #include "core/TransformLibrary.h"
@@ -159,9 +157,9 @@ private:
   strategy::StrategyManager Strategies;
   autotune::TuningDB TuningDB;
   OwningOpRef Payload;
-  /// Metrics baseline for snapshotMetrics(): construction time until the
-  /// first run(), then re-captured at each run() entry.
-  telemetry::MetricsSnapshot Baseline;
+  /// Metrics window for snapshotMetrics(): construction time until the
+  /// first run(), then re-opened at each run() entry.
+  telemetry::MetricsWindow Window;
   RunReport Report;
   /// Wall time of the setup steps, echoed into every run's report
   /// (negative = step not executed yet).
@@ -171,4 +169,4 @@ private:
 
 } // namespace tdl
 
-#endif // TDL_SUPPORT_SESSION_H
+#endif // TDL_DRIVER_SESSION_H

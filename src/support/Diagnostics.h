@@ -176,10 +176,10 @@ private:
 
 /// Captures diagnostics reported from the *current thread* into a vector,
 /// leaving diagnostics from other threads routed as before. The matcher
-/// engine installs one around each matcher invocation so the expected
-/// "not this op" failures stay silenced even when the payload walk is
-/// sharded across worker threads (a ScopedDiagnosticCapture would race on
-/// the engine-wide handler).
+/// engine installs one per walk or commit worker so the expected
+/// "not this op" failures stay silenced and everything else is replayed in
+/// serial order even when the work is sharded across worker threads (a
+/// ScopedDiagnosticCapture would race on the engine-wide handler).
 class ThreadDiagnosticCapture {
 public:
   ThreadDiagnosticCapture() {
@@ -205,10 +205,10 @@ public:
     }
     return Result;
   }
-  /// Drops everything captured so far; a long-lived capture (one per walk
-  /// worker) can be reset between matcher invocations instead of being
-  /// reconstructed per invocation.
-  void clear() { Captured.clear(); }
+  /// Drops everything captured after the first \p Size (<= the current
+  /// count) diagnostics; a long-lived capture (one per walk worker) discards
+  /// a silenced matcher invocation's output this way.
+  void truncate(size_t Size) { Captured.resize(Size); }
 
 private:
   DiagnosticEngine::HandlerTy Handler;

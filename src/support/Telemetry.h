@@ -160,6 +160,25 @@ DurationStat &duration(std::string_view Name);
 MetricsSnapshot diffSnapshots(const MetricsSnapshot &After,
                               const MetricsSnapshot &Before);
 
+/// The metrics recorded since construction: the one way to scope registry
+/// counters to a run, a request, or a test.
+class MetricsWindow {
+public:
+  MetricsWindow() : Before(MetricsRegistry::instance().snapshot()) {}
+  MetricsSnapshot diff() const {
+    return diffSnapshots(MetricsRegistry::instance().snapshot(), Before);
+  }
+  /// The counter's increase over the window (0 when it was never bumped).
+  int64_t counter(const std::string &Name) const {
+    std::map<std::string, int64_t> Counters = diff().Counters;
+    auto It = Counters.find(Name);
+    return It == Counters.end() ? 0 : It->second;
+  }
+
+private:
+  MetricsSnapshot Before;
+};
+
 /// Human-readable rendering: `counters:` / `durations:` sections with one
 /// `  <name>: <value>` line each (durations as count/total/min/max plus
 /// p50/p90/p99 ms).

@@ -10,6 +10,7 @@
 #include "dialect/Dialects.h"
 #include "ir/Parser.h"
 #include "ir/Verifier.h"
+#include "support/Telemetry.h"
 
 #include <gtest/gtest.h>
 
@@ -910,12 +911,13 @@ TEST_F(ForeachMatchTest, TypedHandlesRunEndToEnd) {
   ASSERT_TRUE(Payload);
   ASSERT_TRUE(Script);
   EXPECT_TRUE(analyzeHandleTypes(Script.get()).empty());
+  telemetry::MetricsWindow Window;
   TransformInterpreter Interp(Payload.get(), Script.get());
   EXPECT_TRUE(succeeded(Interp.run()));
   EXPECT_EQ(countAttr(Payload.get(), "typed_loop"), 2);
   // The declared !transform.op<"scf.for"> type doubles as a dispatch
   // prefilter: only the two scf.for candidates enter the matcher at all.
-  EXPECT_EQ(Interp.NumMatcherInvocations, 2);
+  EXPECT_EQ(Window.counter("interp.matcher_invocations"), 2);
 }
 
 TEST_F(ForeachMatchTest, TypedYieldMismatchIsRejectedStatically) {

@@ -20,6 +20,7 @@
 #include "ir/Parser.h"
 #include "ir/Verifier.h"
 #include "support/Stream.h"
+#include "support/Telemetry.h"
 
 #include <gtest/gtest.h>
 
@@ -156,11 +157,12 @@ TEST_F(MatcherEngineCommitStressTest, WidePayloadHighShardCounts) {
       TransformOptions Options;
       Options.CommitShards = NumShards;
       ScopedDiagnosticCapture Capture(Ctx.getDiagEngine());
+      telemetry::MetricsWindow Window;
       TransformInterpreter Interp(Payload.get(), Script.get(), Options);
       ASSERT_TRUE(succeeded(Interp.run()));
-      EXPECT_EQ(Interp.NumParallelCommitPartitions, NumFuncs)
+      EXPECT_EQ(Window.counter("engine.commit.parallel_partitions"), NumFuncs)
           << "shard count " << NumShards << ", repeat " << Repeat;
-      EXPECT_EQ(Interp.NumSerialCommitPartitions, 0);
+      EXPECT_EQ(Window.counter("engine.commit.serial_partitions"), 0);
       EXPECT_TRUE(succeeded(verify(Payload.get())));
       EXPECT_EQ(printed(Payload.get()), SerialText)
           << "shard count " << NumShards << ", repeat " << Repeat;
@@ -213,10 +215,11 @@ TEST_F(MatcherEngineCommitStressTest, ConsumingActionsUnderHighShardCounts) {
     OwningOpRef Payload = makeManyFuncPayload(NumFuncs);
     TransformOptions Options;
     Options.CommitShards = 16;
+    telemetry::MetricsWindow Window;
     TransformInterpreter Interp(Payload.get(), Script.get(), Options);
     ASSERT_TRUE(succeeded(Interp.run()));
-    EXPECT_EQ(Interp.NumParallelCommitPartitions, NumFuncs);
-    EXPECT_EQ(Interp.NumSerialCommitPartitions, 0);
+    EXPECT_EQ(Window.counter("engine.commit.parallel_partitions"), NumFuncs);
+    EXPECT_EQ(Window.counter("engine.commit.serial_partitions"), 0);
     EXPECT_TRUE(succeeded(verify(Payload.get())));
     EXPECT_EQ(printed(Payload.get()), SerialText) << "repeat " << Repeat;
   }
@@ -267,10 +270,11 @@ TEST_F(MatcherEngineCommitStressTest, ConflictFallbackUnderHighShardCounts) {
     OwningOpRef Payload = makeManyFuncPayload(NumFuncs);
     TransformOptions Options;
     Options.CommitShards = 16;
+    telemetry::MetricsWindow Window;
     TransformInterpreter Interp(Payload.get(), Script.get(), Options);
     ASSERT_TRUE(succeeded(Interp.run()));
-    EXPECT_EQ(Interp.NumParallelCommitPartitions, 0);
-    EXPECT_EQ(Interp.NumSerialCommitPartitions, NumFuncs);
+    EXPECT_EQ(Window.counter("engine.commit.parallel_partitions"), 0);
+    EXPECT_EQ(Window.counter("engine.commit.serial_partitions"), NumFuncs);
     EXPECT_EQ(countAttr(Payload.get(), "stress_parent"), NumFuncs);
     EXPECT_EQ(printed(Payload.get()), SerialText);
   }

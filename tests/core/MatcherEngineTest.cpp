@@ -20,6 +20,7 @@
 #include "ir/Parser.h"
 #include "ir/Verifier.h"
 #include "support/Stream.h"
+#include "support/Telemetry.h"
 
 #include <gtest/gtest.h>
 
@@ -217,27 +218,78 @@ TEST_F(MatcherEngineTest, ShardedWalkWithConsumingActionsIsDeterministic) {
   }
 }
 
+/// AnnotatingPairs' matchers over nested roots: every scf.for root also
+/// lies inside a func.func root, so two walk units can reach each loop.
+static const char *const NestedRootPairs = R"(
+  "transform.named_sequence"() ({
+  ^bb0(%op: !transform.any_op):
+    %0 = "transform.match.operation_name"(%op) {op_names = ["scf.for"]}
+      : (!transform.any_op) -> (!transform.any_op)
+    "transform.yield"() : () -> ()
+  }) {sym_name = "is_loop"} : () -> ()
+  "transform.named_sequence"() ({
+  ^bb0(%loop: !transform.any_op):
+    "transform.annotate"(%loop) {name = "marked_loop"}
+      : (!transform.any_op) -> ()
+    "transform.yield"() : () -> ()
+  }) {sym_name = "mark_loop"} : () -> ()
+  "transform.named_sequence"() ({
+  ^bb0(%op: !transform.any_op):
+    %0 = "transform.match.operation_name"(%op) {op_names = ["memref.load"]}
+      : (!transform.any_op) -> (!transform.any_op)
+    "transform.yield"() : () -> ()
+  }) {sym_name = "is_load"} : () -> ()
+  "transform.named_sequence"() ({
+  ^bb0(%load: !transform.any_op):
+    "transform.annotate"(%load) {name = "marked_load"}
+      : (!transform.any_op) -> ()
+    "transform.yield"() : () -> ()
+  }) {sym_name = "mark_load"} : () -> ()
+  "transform.named_sequence"() ({
+  ^bb0(%root: !transform.any_op):
+    %funcs = "transform.match.op"(%root) {op_name = "func.func"}
+      : (!transform.any_op) -> (!transform.any_op)
+    %loops = "transform.match.op"(%root) {op_name = "scf.for"}
+      : (!transform.any_op) -> (!transform.any_op)
+    %roots = "transform.merge_handles"(%funcs, %loops)
+      : (!transform.any_op, !transform.any_op) -> (!transform.any_op)
+    %u = "transform.foreach_match"(%roots)
+      {matchers = [@is_loop, @is_load], actions = [@mark_loop, @mark_load]}
+      : (!transform.any_op) -> (!transform.any_op)
+    "transform.yield"() : () -> ()
+  }) {sym_name = "__transform_main"} : () -> ()
+)";
+
 TEST_F(MatcherEngineTest, ShardedMatcherInvocationCountMatchesSerial) {
-  // Disjoint top-level functions: no op is reachable from two shard units,
-  // so even the matcher-invocation counters agree with the serial walk.
-  OwningOpRef Script = makeScriptModule(AnnotatingPairs);
-  int64_t SerialInvocations = 0;
-  {
-    OwningOpRef Payload = makeManyFuncPayload(5);
-    TransformOptions Options;
-    Options.MatchShards = 1;
-    TransformInterpreter Interp(Payload.get(), Script.get(), Options);
-    ASSERT_TRUE(succeeded(Interp.run()));
-    SerialInvocations = Interp.NumMatcherInvocations;
-    EXPECT_GT(SerialInvocations, 0);
-  }
-  {
-    OwningOpRef Payload = makeManyFuncPayload(5);
-    TransformOptions Options;
-    Options.MatchShards = 3;
-    TransformInterpreter Interp(Payload.get(), Script.get(), Options);
-    ASSERT_TRUE(succeeded(Interp.run()));
-    EXPECT_EQ(Interp.NumMatcherInvocations, SerialInvocations);
+  // Each op is offered by exactly one walk unit, settled before the walk,
+  // so the registry counters agree with the serial walk — for disjoint
+  // top-level functions and for nested roots alike.
+  for (const char *Pairs : {AnnotatingPairs, NestedRootPairs}) {
+    OwningOpRef Script = makeScriptModule(Pairs);
+    ASSERT_TRUE(Script);
+    int64_t SerialInvocations = -1, SerialExecuted = -1;
+    std::string SerialText;
+    for (unsigned NumShards : {1u, 3u}) {
+      OwningOpRef Payload = makeManyFuncPayload(5);
+      TransformOptions Options;
+      Options.MatchShards = NumShards;
+      telemetry::MetricsWindow Window;
+      TransformInterpreter Interp(Payload.get(), Script.get(), Options);
+      ASSERT_TRUE(succeeded(Interp.run()));
+      int64_t Invocations = Window.counter("interp.matcher_invocations");
+      int64_t Executed = Window.counter("interp.executed_ops");
+      EXPECT_EQ(countAttr(Payload.get(), "marked_loop"), 5);
+      if (NumShards == 1) {
+        EXPECT_GT(Invocations, 0);
+        SerialInvocations = Invocations;
+        SerialExecuted = Executed;
+        SerialText = printed(Payload.get());
+        continue;
+      }
+      EXPECT_EQ(Invocations, SerialInvocations);
+      EXPECT_EQ(Executed, SerialExecuted);
+      EXPECT_EQ(printed(Payload.get()), SerialText);
+    }
   }
 }
 
@@ -836,11 +888,12 @@ TEST_F(MatcherEngineTest, CommitShardedOutputAndDiagnosticsByteIdentical) {
     TransformOptions Options;
     Options.CommitShards = 1;
     ScopedDiagnosticCapture Capture(Ctx.getDiagEngine());
+    telemetry::MetricsWindow Window;
     TransformInterpreter Interp(Payload.get(), Script.get(), Options);
     ASSERT_TRUE(succeeded(Interp.run()));
     // Shards == 1 is the serial fast path: no partitioning at all.
-    EXPECT_EQ(Interp.NumParallelCommitPartitions, 0);
-    EXPECT_EQ(Interp.NumSerialCommitPartitions, 0);
+    EXPECT_EQ(Window.counter("engine.commit.parallel_partitions"), 0);
+    EXPECT_EQ(Window.counter("engine.commit.serial_partitions"), 0);
     EXPECT_EQ(countAttr(Payload.get(), "committed_loop"), 12);
     SerialText = printed(Payload.get());
     for (const Diagnostic &Diag : Capture.getDiagnostics())
@@ -852,12 +905,13 @@ TEST_F(MatcherEngineTest, CommitShardedOutputAndDiagnosticsByteIdentical) {
     TransformOptions Options;
     Options.CommitShards = NumShards;
     ScopedDiagnosticCapture Capture(Ctx.getDiagEngine());
+    telemetry::MetricsWindow Window;
     TransformInterpreter Interp(Payload.get(), Script.get(), Options);
     ASSERT_TRUE(succeeded(Interp.run()));
-    EXPECT_EQ(Interp.NumParallelCommitPartitions, 12)
+    EXPECT_EQ(Window.counter("engine.commit.parallel_partitions"), 12)
         << "conflict-free partitions must commit in parallel at shard count "
         << NumShards;
-    EXPECT_EQ(Interp.NumSerialCommitPartitions, 0);
+    EXPECT_EQ(Window.counter("engine.commit.serial_partitions"), 0);
     EXPECT_EQ(printed(Payload.get()), SerialText)
         << "commit shard count " << NumShards
         << " diverged from the serial commit";
@@ -913,12 +967,13 @@ TEST_F(MatcherEngineTest, CommitShardedConsumingActionsAreDeterministic) {
     OwningOpRef Payload = makeManyFuncPayload(6);
     TransformOptions Options;
     Options.CommitShards = NumShards;
+    telemetry::MetricsWindow Window;
     TransformInterpreter Interp(Payload.get(), Script.get(), Options);
     ASSERT_TRUE(succeeded(Interp.run()));
     EXPECT_TRUE(succeeded(verify(Payload.get())));
-    EXPECT_EQ(Interp.NumParallelCommitPartitions, 6)
+    EXPECT_EQ(Window.counter("engine.commit.parallel_partitions"), 6)
         << "consuming actions inside a partition are still conflict-free";
-    EXPECT_EQ(Interp.NumSerialCommitPartitions, 0);
+    EXPECT_EQ(Window.counter("engine.commit.serial_partitions"), 0);
     EXPECT_EQ(printed(Payload.get()), SerialText)
         << "commit shard count " << NumShards
         << " diverged from the serial commit";
@@ -970,11 +1025,12 @@ TEST_F(MatcherEngineTest, CommitCrossPartitionHandleForcesSerialFallback) {
     OwningOpRef Payload = makeManyFuncPayload(6);
     TransformOptions Options;
     Options.CommitShards = 4;
+    telemetry::MetricsWindow Window;
     TransformInterpreter Interp(Payload.get(), Script.get(), Options);
     ASSERT_TRUE(succeeded(Interp.run()));
-    EXPECT_EQ(Interp.NumParallelCommitPartitions, 0)
+    EXPECT_EQ(Window.counter("engine.commit.parallel_partitions"), 0)
         << "a cross-partition handle must disqualify parallel commit";
-    EXPECT_EQ(Interp.NumSerialCommitPartitions, 6);
+    EXPECT_EQ(Window.counter("engine.commit.serial_partitions"), 6);
     EXPECT_EQ(countAttr(Payload.get(), "parent_marked"), 6);
     EXPECT_EQ(printed(Payload.get()), SerialText);
   }

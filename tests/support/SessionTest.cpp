@@ -12,7 +12,7 @@
 ///
 //===----------------------------------------------------------------------===//
 
-#include "support/Session.h"
+#include "driver/Session.h"
 
 #include "support/Stream.h"
 

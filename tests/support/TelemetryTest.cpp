@@ -507,42 +507,88 @@ static const char *const TracedPairsScript = R"("builtin.module"() ({
 }) : () -> ()
 )";
 
+/// The same pairs walked from nested roots: every scf.for root also lies
+/// inside a func.func root, so two walk units can reach each loop and its
+/// body. The trace must still show each matcher run once.
+static const char *const NestedRootsTracedScript = R"("builtin.module"() ({
+  "transform.named_sequence"() ({
+  ^bb0(%op: !transform.any_op):
+    %0 = "transform.match.operation_name"(%op) {op_names = ["scf.for"]}
+      : (!transform.any_op) -> (!transform.any_op)
+    "transform.yield"() : () -> ()
+  }) {sym_name = "is_loop"} : () -> ()
+  "transform.named_sequence"() ({
+  ^bb0(%loop: !transform.any_op):
+    "transform.annotate"(%loop) {name = "marked_loop"}
+      : (!transform.any_op) -> ()
+    "transform.yield"() : () -> ()
+  }) {sym_name = "mark_loop"} : () -> ()
+  "transform.named_sequence"() ({
+  ^bb0(%op: !transform.any_op):
+    %0 = "transform.match.operation_name"(%op) {op_names = ["memref.load"]}
+      : (!transform.any_op) -> (!transform.any_op)
+    "transform.yield"() : () -> ()
+  }) {sym_name = "is_load"} : () -> ()
+  "transform.named_sequence"() ({
+  ^bb0(%load: !transform.any_op):
+    "transform.annotate"(%load) {name = "marked_load"}
+      : (!transform.any_op) -> ()
+    "transform.yield"() : () -> ()
+  }) {sym_name = "mark_load"} : () -> ()
+  "transform.named_sequence"() ({
+  ^bb0(%root: !transform.any_op):
+    %funcs = "transform.match.op"(%root) {op_name = "func.func"}
+      : (!transform.any_op) -> (!transform.any_op)
+    %loops = "transform.match.op"(%root) {op_name = "scf.for"}
+      : (!transform.any_op) -> (!transform.any_op)
+    %roots = "transform.merge_handles"(%funcs, %loops)
+      : (!transform.any_op, !transform.any_op) -> (!transform.any_op)
+    %u = "transform.foreach_match"(%roots)
+      {matchers = [@is_loop, @is_load], actions = [@mark_loop, @mark_load]}
+      : (!transform.any_op) -> (!transform.any_op)
+    "transform.yield"() : () -> ()
+  }) {sym_name = "__transform_main"} : () -> ()
+}) : () -> ()
+)";
+
 TEST_F(TraceDeterminismTest, TraceIsByteIdenticalAtAnyShardCount) {
-  OwningOpRef Script = parseSourceString(Ctx, TracedPairsScript, "script");
-  ASSERT_TRUE(Script);
+  for (const char *ScriptText : {TracedPairsScript, NestedRootsTracedScript}) {
+    OwningOpRef Script = parseSourceString(Ctx, ScriptText, "script");
+    ASSERT_TRUE(Script);
 
-  auto RunTraced = [&](unsigned MatchShards, unsigned CommitShards,
-                       std::string &TraceOut, std::string &PayloadOut) {
-    OwningOpRef Payload = makeManyFuncPayload(6);
-    ASSERT_TRUE(Payload);
-    raw_string_ostream TraceOS(TraceOut);
-    TransformOptions Options;
-    Options.Trace = true;
-    Options.TraceStream = &TraceOS;
-    Options.MatchShards = MatchShards;
-    Options.CommitShards = CommitShards;
-    TransformInterpreter Interp(Payload.get(), Script.get(), Options);
-    ASSERT_TRUE(succeeded(Interp.run()));
-    raw_string_ostream PayloadOS(PayloadOut);
-    Payload->print(PayloadOS);
-  };
+    auto RunTraced = [&](unsigned MatchShards, unsigned CommitShards,
+                         std::string &TraceOut, std::string &PayloadOut) {
+      OwningOpRef Payload = makeManyFuncPayload(6);
+      ASSERT_TRUE(Payload);
+      raw_string_ostream TraceOS(TraceOut);
+      TransformOptions Options;
+      Options.Trace = true;
+      Options.TraceStream = &TraceOS;
+      Options.MatchShards = MatchShards;
+      Options.CommitShards = CommitShards;
+      TransformInterpreter Interp(Payload.get(), Script.get(), Options);
+      ASSERT_TRUE(succeeded(Interp.run()));
+      raw_string_ostream PayloadOS(PayloadOut);
+      Payload->print(PayloadOS);
+    };
 
-  std::string SerialTrace, SerialPayload;
-  RunTraced(1, 1, SerialTrace, SerialPayload);
-  std::string ShardedTrace, ShardedPayload;
-  RunTraced(4, 4, ShardedTrace, ShardedPayload);
+    std::string SerialTrace, SerialPayload;
+    RunTraced(1, 1, SerialTrace, SerialPayload);
+    std::string ShardedTrace, ShardedPayload;
+    RunTraced(4, 4, ShardedTrace, ShardedPayload);
 
-  // Tracing used to silently disable the matcher scratch interpreter's
-  // trace and force the serial commit; now both shard counts produce the
-  // same non-trivial trace and the same payload, byte for byte.
-  EXPECT_FALSE(SerialTrace.empty());
-  EXPECT_NE(SerialTrace.find("[transform] transform.annotate"),
-            std::string::npos);
-  EXPECT_NE(SerialTrace.find("[transform] transform.match.operation_name"),
-            std::string::npos);
-  EXPECT_EQ(SerialTrace, ShardedTrace);
-  EXPECT_EQ(SerialPayload, ShardedPayload);
-  EXPECT_NE(SerialPayload.find("marked_loop"), std::string::npos);
+    // Tracing used to silently disable the matcher scratch interpreter's
+    // trace and force the serial commit; now both shard counts produce the
+    // same non-trivial trace and the same payload, byte for byte.
+    EXPECT_FALSE(SerialTrace.empty());
+    EXPECT_NE(SerialTrace.find("[transform] transform.annotate"),
+              std::string::npos);
+    EXPECT_NE(SerialTrace.find("[transform] transform.match.operation_name"),
+              std::string::npos);
+    EXPECT_EQ(SerialTrace, ShardedTrace);
+    EXPECT_EQ(SerialPayload, ShardedPayload);
+    EXPECT_NE(SerialPayload.find("marked_loop"), std::string::npos);
+  }
 }
 
 } // namespace

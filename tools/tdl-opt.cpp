@@ -6,7 +6,7 @@
 ///
 /// \file
 /// Command-line driver: a thin argv-to-RunOptions parser over the Session
-/// facade (support/Session.h), which owns the context, library manager,
+/// facade (driver/Session.h), which owns the context, library manager,
 /// strategy manager, and tuning database. The two compilation-control
 /// styles the paper compares, in one tool:
 ///
@@ -19,7 +19,7 @@
 ///
 //===----------------------------------------------------------------------===//
 
-#include "support/Session.h"
+#include "driver/Session.h"
 
 #include <cstdlib>
 #include <string>
