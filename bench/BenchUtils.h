@@ -30,13 +30,16 @@ inline double timeSeconds(const std::function<void()> &Fn) {
   return std::chrono::duration<double>(End - Start).count();
 }
 
-/// Median of \p Repeats timed invocations.
-inline double medianSeconds(int Repeats, const std::function<void()> &Fn) {
-  std::vector<double> Samples;
-  for (int I = 0; I < Repeats; ++I)
-    Samples.push_back(timeSeconds(Fn));
+/// The spread of repeated samples: smallest and median.
+struct Spread {
+  double Min = 0.0;
+  double Median = 0.0;
+};
+
+/// Min and median of a non-empty set of samples.
+inline Spread spreadOf(std::vector<double> Samples) {
   std::sort(Samples.begin(), Samples.end());
-  return Samples[Samples.size() / 2];
+  return {Samples.front(), Samples[Samples.size() / 2]};
 }
 
 /// Minimum of \p Repeats timed invocations (standard for noisy hosts).

@@ -32,6 +32,7 @@
 #include <string_view>
 #include <thread>
 #include <unistd.h>
+#include <utility>
 
 using namespace tdl;
 using namespace tdl::benchutil;
@@ -291,13 +292,79 @@ conflictForeachMatchScript(const std::vector<Category> &Categories) {
 )";
 }
 
+/// A foreach_match whose one action is a structured transform: every
+/// `scf.for` is unrolled by 2. The action consumes its loop and may fail,
+/// so a partition committed while an earlier one is still running takes a
+/// snapshot it can be rolled back to; the unroll stays inside its function,
+/// so the partitions still commit in parallel.
+static std::string unrollForeachMatchScript() {
+  return R"("builtin.module"() ({
+  "transform.named_sequence"() ({
+  ^bb0(%op: !transform.any_op):
+    %0 = "transform.match.operation_name"(%op) {op_names = ["scf.for"]}
+      : (!transform.any_op) -> (!transform.any_op)
+    "transform.yield"() : () -> ()
+  }) {sym_name = "unroll_is_loop"} : () -> ()
+  "transform.named_sequence"() ({
+  ^bb0(%loop: !transform.any_op):
+    "transform.loop.unroll"(%loop) {factor = 2 : index}
+      : (!transform.any_op) -> ()
+    "transform.yield"() : () -> ()
+  }) {sym_name = "unroll_by_two"} : () -> ()
+  "transform.named_sequence"() ({
+  ^bb0(%root: !transform.any_op):
+    %u = "transform.foreach_match"(%root)
+      {matchers = [@unroll_is_loop], actions = [@unroll_by_two]}
+      : (!transform.any_op) -> (!transform.any_op)
+    "transform.yield"() : () -> ()
+  }) {sym_name = "__transform_main"} : () -> ()
+}) : () -> ()
+)";
+}
+
+namespace {
+/// One configuration of the shard sweep: a payload module, a script, and
+/// engine options. Every arm runs once untimed, recording its per-run
+/// counters, and then once per round; the rounds interleave all arms, so a
+/// slow phase of a shared host slows every arm alike instead of skewing
+/// one configuration.
+struct SweepArm {
+  OwningOpRef Mod;
+  Operation *Script = nullptr;
+  TransformOptions Options;
+  /// Set when the script rewrites the payload: every run then starts from
+  /// a freshly parsed module (parsed outside the timed region).
+  const std::string *FreshPayload = nullptr;
+  telemetry::MetricsSnapshot Counts;
+  std::vector<double> Samples;
+
+  void prepare(Context &Ctx) {
+    if (FreshPayload)
+      Mod = parseSourceString(Ctx, *FreshPayload);
+  }
+  void run() {
+    TransformInterpreter Interp(Mod.get(), Script, Options);
+    if (failed(Interp.run()))
+      std::printf("shard-sweep script failed\n");
+  }
+  int64_t count(const std::string &Name) const {
+    auto It = Counts.Counters.find(Name);
+    return It == Counts.Counters.end() ? 0 : It->second;
+  }
+};
+} // namespace
+
 /// Shard sweep: the match side (deep-matcher foreach_match at 1/2/4(/...)
-/// match shards) followed by the commit side (annotate-action foreach_match
-/// at 1/2/4(/...) commit shards, on a conflict-free and on a
-/// forced-conflict payload/script pairing, against a match-only
-/// collect_matching control). Both phases merge worker results back into
-/// serial walk order, so the printed IR is byte-identical at every shard
-/// count; only the wall-clock and the conflict counters change.
+/// match shards) followed by the commit side (foreach_match at 1/2/4(/...)
+/// commit shards: annotate actions on a conflict-free and on a
+/// forced-conflict payload/script pairing, and unroll actions, against a
+/// match-only collect_matching control). Both phases merge worker results
+/// back into serial walk order, so the printed IR is byte-identical at
+/// every shard count; only the wall-clock and the conflict counters
+/// change. Each
+/// configuration is timed \p Repeats times (see SweepArm); the tables show
+/// the fastest and the median run, and speedups and the JSON report use the
+/// median.
 static void runShardSweep(int NumFuncs, const std::vector<unsigned> &Shards,
                           int Repeats) {
   Context Ctx;
@@ -305,12 +372,60 @@ static void runShardSweep(int NumFuncs, const std::vector<unsigned> &Shards,
   registerTransformDialect(Ctx);
   std::vector<Category> Categories = hotCategories();
   std::string Payload = payloadText(NumFuncs);
-  OwningOpRef Script =
+  // The commit side's prefiltered (non-deep) matchers keep its match phase
+  // small so the commit phase is a visible fraction of the total.
+  OwningOpRef DeepScript =
       parseSourceString(Ctx, deepForeachMatchScript(Categories));
-  if (!Script) {
+  OwningOpRef FreeScript =
+      parseSourceString(Ctx, foreachMatchScript(Categories));
+  OwningOpRef ConflictScript =
+      parseSourceString(Ctx, conflictForeachMatchScript(Categories));
+  OwningOpRef CollectScript =
+      parseSourceString(Ctx, collectMatchingScript(Categories));
+  OwningOpRef UnrollScript = parseSourceString(Ctx, unrollForeachMatchScript());
+  if (!DeepScript || !FreeScript || !ConflictScript || !CollectScript ||
+      !UnrollScript) {
     std::printf("script parse error\n");
     return;
   }
+
+  // Arms: the match side per shard count, the match-only control, then the
+  // conflict-free, forced-conflict and unroll commit sides per shard count.
+  // The annotate arms parse their module once; re-running on it is
+  // deterministic (the actions only annotate). The unroll arms start every
+  // run from a fresh module.
+  std::vector<SweepArm> Arms;
+  auto AddArm = [&](Operation *Script, unsigned MatchShards,
+                    unsigned CommitShards) {
+    SweepArm Arm;
+    Arm.Mod = parseSourceString(Ctx, Payload);
+    Arm.Script = Script;
+    Arm.Options.MatchShards = MatchShards;
+    Arm.Options.CommitShards = CommitShards;
+    Arms.push_back(std::move(Arm));
+  };
+  for (unsigned NumShards : Shards)
+    AddArm(DeepScript.get(), NumShards, 1);
+  AddArm(CollectScript.get(), 1, 1);
+  for (Operation *Script :
+       {FreeScript.get(), ConflictScript.get(), UnrollScript.get()})
+    for (unsigned NumShards : Shards)
+      AddArm(Script, 1, NumShards);
+  for (SweepArm &Arm : Arms)
+    if (Arm.Script == UnrollScript.get())
+      Arm.FreshPayload = &Payload;
+
+  for (SweepArm &Arm : Arms) {
+    Arm.prepare(Ctx);
+    telemetry::MetricsWindow Window;
+    Arm.run();
+    Arm.Counts = Window.diff();
+  }
+  for (int Round = 0; Round < Repeats; ++Round)
+    for (SweepArm &Arm : Arms) {
+      Arm.prepare(Ctx);
+      Arm.Samples.push_back(timeSeconds([&] { Arm.run(); }));
+    }
 
   JsonReport Report("cs2_foreach_match");
   Report.metric("funcs", NumFuncs);
@@ -324,91 +439,60 @@ static void runShardSweep(int NumFuncs, const std::vector<unsigned> &Shards,
   // record what this machine offers so the artifact is interpretable.
   std::printf("hardware threads available: %u\n",
               std::thread::hardware_concurrency());
-  std::printf("%8s | %14s | %9s | %12s\n", "shards", "foreach (s)", "speedup",
-              "matcher runs");
+  std::printf("%d interleaved repeats per configuration\n", Repeats);
+  std::printf("%8s | %12s | %12s | %9s | %12s\n", "shards", "min (s)",
+              "median (s)", "speedup", "matcher runs");
+  size_t ArmIdx = 0;
   double Baseline = 0.0;
   for (unsigned NumShards : Shards) {
-    // Parse once per configuration, untimed: the sweep measures the match
-    // walk, not the parser. Re-running on the same module is deterministic
-    // (the actions only annotate).
-    OwningOpRef Mod = parseSourceString(Ctx, Payload);
-    TransformOptions Options;
-    Options.MatchShards = NumShards;
-    // Every repeat does identical work; the window spans all of them.
-    telemetry::MetricsWindow Window;
-    double Seconds = minSeconds(Repeats, [&] {
-      TransformInterpreter Interp(Mod.get(), Script.get(), Options);
-      if (failed(Interp.run()))
-        std::printf("foreach_match script failed\n");
-    });
-    int64_t MatcherRuns =
-        Window.counter("interp.matcher_invocations") / Repeats;
+    const SweepArm &Arm = Arms[ArmIdx++];
+    Spread Seconds = spreadOf(Arm.Samples);
     if (Baseline == 0.0)
-      Baseline = Seconds;
-    std::printf("%8u | %14.6f | %8.2fx | %12lld\n", NumShards, Seconds,
-                Baseline / Seconds, static_cast<long long>(MatcherRuns));
+      Baseline = Seconds.Median;
+    std::printf("%8u | %12.6f | %12.6f | %8.2fx | %12lld\n", NumShards,
+                Seconds.Min, Seconds.Median, Baseline / Seconds.Median,
+                static_cast<long long>(
+                    Arm.count("interp.matcher_invocations")));
     Report.metric("match_shards_" + std::to_string(NumShards) + "_seconds",
-                  Seconds);
+                  Seconds.Median);
   }
 
-  // --- Commit side. The annotate actions are cheap and idempotent, so the
-  // parsed module can be reused across timed runs here too. The prefiltered
-  // (non-deep) matchers keep the match phase small so the commit phase is a
-  // visible fraction of the total.
-  OwningOpRef FreeScript =
-      parseSourceString(Ctx, foreachMatchScript(Categories));
-  OwningOpRef ConflictScript =
-      parseSourceString(Ctx, conflictForeachMatchScript(Categories));
-  OwningOpRef CollectScript =
-      parseSourceString(Ctx, collectMatchingScript(Categories));
-  if (!FreeScript || !ConflictScript || !CollectScript) {
-    std::printf("commit-sweep script parse error\n");
-    return;
-  }
-
-  Title = "Commit sweep: annotate-action foreach_match commit, " +
+  Title = "Commit sweep: foreach_match commit, " +
           std::to_string(NumFuncs) + "-function payload";
   printHeader(Title.c_str());
-  {
-    OwningOpRef Mod = parseSourceString(Ctx, Payload);
-    double MatchOnly = minSeconds(Repeats, [&] {
-      TransformInterpreter Interp(Mod.get(), CollectScript.get());
-      if (failed(Interp.run()))
-        std::printf("collect_matching script failed\n");
-    });
-    std::printf("match-only control (collect_matching): %.6f s\n", MatchOnly);
-    Report.metric("match_only_seconds", MatchOnly);
-  }
-  std::printf("%-15s | %8s | %16s | %9s | %9s | %8s\n", "payload", "shards",
-              "match+commit (s)", "speedup", "parallel", "serial");
-  for (bool Conflict : {false, true}) {
-    Operation *Used = Conflict ? ConflictScript.get() : FreeScript.get();
-    const char *Label = Conflict ? "forced-conflict" : "conflict-free";
-    const char *Key = Conflict ? "commit_conflict" : "commit_free";
+  Spread MatchOnly = spreadOf(Arms[ArmIdx++].Samples);
+  std::printf("match-only control (collect_matching): min %.6f s, "
+              "median %.6f s\n",
+              MatchOnly.Min, MatchOnly.Median);
+  Report.metric("match_only_seconds", MatchOnly.Median);
+  std::printf("match+commit seconds per run\n");
+  // Snapshots vary with thread timing: they count the partitions claimed
+  // while an earlier may-fail partition was still running (per untimed run).
+  std::printf("%-15s | %8s | %12s | %12s | %9s | %9s | %8s | %9s\n",
+              "actions", "shards", "min (s)", "median (s)", "speedup",
+              "parallel", "serial", "snapshots");
+  static const std::pair<const char *, const char *> CommitSides[] = {
+      {"conflict-free", "commit_free"},
+      {"forced-conflict", "commit_conflict"},
+      {"unroll", "commit_unroll"}};
+  for (auto [Label, Key] : CommitSides) {
     double CommitBaseline = 0.0;
     for (unsigned NumShards : Shards) {
-      OwningOpRef Mod = parseSourceString(Ctx, Payload);
-      TransformOptions Options;
-      Options.CommitShards = NumShards;
-      telemetry::MetricsWindow Window;
-      double Seconds = minSeconds(Repeats, [&] {
-        TransformInterpreter Interp(Mod.get(), Used, Options);
-        if (failed(Interp.run()))
-          std::printf("commit-sweep script failed\n");
-      });
-      int64_t Parallel =
-          Window.counter("engine.commit.parallel_partitions") / Repeats;
-      int64_t Serial =
-          Window.counter("engine.commit.serial_partitions") / Repeats;
+      const SweepArm &Arm = Arms[ArmIdx++];
+      Spread Seconds = spreadOf(Arm.Samples);
+      int64_t Parallel = Arm.count("engine.commit.parallel_partitions");
+      int64_t Serial = Arm.count("engine.commit.serial_partitions");
       if (CommitBaseline == 0.0)
-        CommitBaseline = Seconds;
-      std::printf("%-15s | %8u | %16.6f | %8.2fx | %9lld | %8lld\n", Label,
-                  NumShards, Seconds, CommitBaseline / Seconds,
-                  static_cast<long long>(Parallel),
-                  static_cast<long long>(Serial));
+        CommitBaseline = Seconds.Median;
+      std::printf(
+          "%-15s | %8u | %12.6f | %12.6f | %8.2fx | %9lld | %8lld | %9lld\n",
+          Label, NumShards, Seconds.Min, Seconds.Median,
+          CommitBaseline / Seconds.Median, static_cast<long long>(Parallel),
+          static_cast<long long>(Serial),
+          static_cast<long long>(Arm.count("engine.commit.snapshots")));
       std::string Prefix =
           std::string(Key) + "_shards_" + std::to_string(NumShards);
-      Report.metric(Prefix + "_seconds", Seconds);
+      Report.metric(Prefix + "_seconds", Seconds.Median);
       Report.metric(Prefix + "_parallel_partitions",
                     static_cast<long long>(Parallel));
       Report.metric(Prefix + "_serial_partitions",
@@ -416,8 +500,9 @@ static void runShardSweep(int NumFuncs, const std::vector<unsigned> &Shards,
     }
   }
 
-  // Process-wide registry totals across the whole sweep, alongside the
-  // per-configuration instance counters above.
+  // Process-wide registry totals across the whole sweep (one untimed and
+  // Repeats timed runs per configuration), alongside the per-run
+  // configuration counters above.
   Report.addMetricsSnapshot();
 }
 
@@ -656,7 +741,7 @@ int main(int argc, char **argv) {
   }
 
   if (ShardSweep) {
-    runShardSweep(/*NumFuncs=*/200, /*Shards=*/{1, 2, 4}, /*Repeats=*/3);
+    runShardSweep(/*NumFuncs=*/200, /*Shards=*/{1, 2, 4}, /*Repeats=*/7);
     return 0;
   }
   if (Library) {

@@ -48,16 +48,6 @@ struct Model {
 /// The paper's bound on Transform-script interpretation overhead.
 constexpr double PaperBoundPct = 2.6;
 
-struct Spread {
-  double Min;
-  double Median;
-};
-
-Spread spreadOf(std::vector<double> Samples) {
-  std::sort(Samples.begin(), Samples.end());
-  return {Samples.front(), Samples[Samples.size() / 2]};
-}
-
 double overheadPct(double Mlir, double Transform) {
   return 100.0 * (Transform - Mlir) / Mlir;
 }

@@ -12,6 +12,9 @@
 
 #include <algorithm>
 #include <atomic>
+#include <condition_variable>
+#include <memory>
+#include <mutex>
 #include <set>
 #include <thread>
 #include <unordered_set>
@@ -83,12 +86,139 @@ MatchDiag &MatchDiag::text(std::string_view Detail) {
 }
 
 //===----------------------------------------------------------------------===//
+// Shard pool
+//===----------------------------------------------------------------------===//
+
+namespace {
+
+/// Set on pool threads for their lifetime and on a caller while it drives
+/// the pool: a sharded run started from either runs inline instead of
+/// waiting on helpers that are (or may be) busy with its own caller.
+thread_local bool InsideShardRun = false;
+
+/// The process-wide fork/join pool behind both sharded engine phases (the
+/// match walk and the commit waves). Helper threads are created lazily, up
+/// to the largest worker count ever requested minus one, and park on a
+/// condition variable between runs; the calling thread is always worker 0.
+/// Workers claim their items from a shared counter (see the two call
+/// sites), so a helper that wakes late simply takes fewer items — and one
+/// that has not woken by the time the caller is done is cancelled and its
+/// (by then empty-handed) worker body runs on the caller instead.
+class ShardPool {
+public:
+  static ShardPool &instance() {
+    // Leaked: parked helpers must never see the pool destroyed at exit.
+    static ShardPool *Pool = new ShardPool;
+    return *Pool;
+  }
+
+  /// Calls \p Body(W) exactly once for every W in [0, NumWorkers) and
+  /// returns when all calls have returned. Body(0) runs on the calling
+  /// thread. When the pool is already driven by another thread, or the
+  /// caller is itself inside a sharded run, every call runs inline, in
+  /// worker order.
+  void run(unsigned NumWorkers, const std::function<void(unsigned)> &Body) {
+    if (NumWorkers <= 1 || InsideShardRun ||
+        Busy.exchange(true, std::memory_order_acquire)) {
+      for (unsigned W = 0; W < NumWorkers; ++W)
+        Body(W);
+      return;
+    }
+    InsideShardRun = true;
+    unsigned NumHelpers = NumWorkers - 1;
+    std::vector<Helper *> Assigned;
+    {
+      std::lock_guard<std::mutex> Lock(Mu);
+      while (Helpers.size() < NumHelpers)
+        spawnHelper();
+      Job = &Body;
+      for (unsigned H = 0; H < NumHelpers; ++H) {
+        Helpers[H]->Assigned = true;
+        Assigned.push_back(Helpers[H].get());
+      }
+      ++Generation;
+    }
+    Wake.notify_all();
+
+    Body(0);
+
+    // Cancel the helpers that have not picked up their worker yet and run
+    // those workers here; then wait for the ones already running.
+    std::vector<unsigned> Cancelled;
+    {
+      std::lock_guard<std::mutex> Lock(Mu);
+      for (unsigned H = 0; H < NumHelpers; ++H)
+        if (std::exchange(Assigned[H]->Assigned, false))
+          Cancelled.push_back(H + 1);
+    }
+    for (unsigned W : Cancelled)
+      Body(W);
+    {
+      std::unique_lock<std::mutex> Lock(Mu);
+      Done.wait(Lock, [&] { return Running == 0; });
+      Job = nullptr;
+    }
+    InsideShardRun = false;
+    Busy.store(false, std::memory_order_release);
+  }
+
+private:
+  struct Helper {
+    unsigned Worker = 0;   ///< The worker index this helper runs.
+    bool Assigned = false; ///< Guarded by Mu.
+  };
+
+  /// Requires Mu. Helpers are detached: they park for the process lifetime.
+  void spawnHelper() {
+    static telemetry::Counter &ThreadsStarted =
+        telemetry::counter("engine.worker_threads_started");
+    ThreadsStarted.add();
+    Helpers.push_back(std::make_unique<Helper>());
+    Helper *Self = Helpers.back().get();
+    Self->Worker = static_cast<unsigned>(Helpers.size());
+    std::thread([this, Self, Seen = Generation] {
+      helperLoop(*Self, Seen);
+    }).detach();
+  }
+
+  void helperLoop(Helper &Self, uint64_t Seen) {
+    InsideShardRun = true;
+    std::unique_lock<std::mutex> Lock(Mu);
+    for (;;) {
+      Wake.wait(Lock, [&] { return Generation != Seen; });
+      Seen = Generation;
+      if (!std::exchange(Self.Assigned, false))
+        continue; // Not needed this run, or cancelled before waking.
+      ++Running;
+      const std::function<void(unsigned)> &Body = *Job;
+      Lock.unlock();
+      Body(Self.Worker);
+      Lock.lock();
+      if (--Running == 0)
+        Done.notify_one();
+    }
+  }
+
+  std::atomic<bool> Busy{false};
+  std::mutex Mu;
+  std::condition_variable Wake, Done;
+  // Everything below is guarded by Mu.
+  std::vector<std::unique_ptr<Helper>> Helpers;
+  const std::function<void(unsigned)> *Job = nullptr;
+  uint64_t Generation = 0;
+  unsigned Running = 0;
+};
+
+} // namespace
+
+//===----------------------------------------------------------------------===//
 // Pair registration
 //===----------------------------------------------------------------------===//
 
 MatcherEngine::MatcherEngine(TransformInterpreter &Interp, Operation *DriverOp,
                              std::string_view DriverName)
-    : Interp(Interp), DriverOp(DriverOp), DriverName(DriverName) {}
+    : Interp(Interp), DriverOp(DriverOp), DriverName(DriverName),
+      PinType(TransformAnyOpType::get(DriverOp->getContext())) {}
 
 std::string MatcherEngine::describeForwardingMismatch(Type Produced,
                                                       std::string_view SlotDesc,
@@ -107,8 +237,8 @@ std::string MatcherEngine::describeForwardingMismatch(Type Produced,
 
 MatcherEngine::~MatcherEngine() {
   TransformState &State = Interp.getState();
-  for (std::unique_ptr<ValueImpl> &Pin : Pins)
-    State.forget(Value(Pin.get()));
+  for (ValueImpl &Pin : Pins)
+    State.forget(Value(&Pin));
   // Action bodies were bound in the driver's state during commit; matcher
   // bodies only ever bind into scratch states, which are already gone.
   std::set<Operation *> Cleaned;
@@ -123,6 +253,24 @@ MatcherEngine::~MatcherEngine() {
         State.forget(BodyOp->getResult(R));
     });
   }
+}
+
+/// Whether running \p Action can fail. Only bodies made entirely of ops that
+/// cannot fail on the live handles the commit binds (named annotations,
+/// remarks, the terminator) are known not to; no action cannot fail either.
+static bool actionMayFail(Operation *Action) {
+  if (!Action || Action->getRegion(0).empty())
+    return false;
+  for (Operation *BodyOp : Action->getRegion(0).front()) {
+    std::string_view Name = BodyOp->getName();
+    bool NamedAnnotate = Name == "transform.annotate" &&
+                         !BodyOp->getStringAttr("name").empty();
+    if (Name == "transform.yield" || Name == "transform.debug.emit_remark" ||
+        NamedAnnotate)
+      continue;
+    return true;
+  }
+  return false;
 }
 
 DSF MatcherEngine::addPair(Attribute MatcherRef, Attribute ActionRef) {
@@ -227,6 +375,7 @@ DSF MatcherEngine::addPair(Attribute MatcherRef, Attribute ActionRef) {
     }
   }
 
+  NewPair.ActionMayFail = actionMayFail(NewPair.Action);
   Pairs.push_back(std::move(NewPair));
   return DSF::success();
 }
@@ -456,6 +605,9 @@ DSF MatcherEngine::match(const std::vector<Operation *> &Roots,
   Operation *ScriptRoot = Interp.getScriptRoot();
   TransformOptions ScratchOptions = Interp.getOptions();
 
+  // Units are claimed in increasing order from one counter, so each
+  // worker also sees its own units in increasing order.
+  std::atomic<size_t> NextUnit{0};
   auto RunWorker = [&](unsigned Shard) {
     // Serial or not, the walk runs against a scratch state: the driver's
     // state never sees matcher-body bindings.
@@ -470,10 +622,11 @@ DSF MatcherEngine::match(const std::vector<Operation *> &Roots,
     // No cross-worker abort on a definite error: every unit below the
     // merge's eventual stop point must be complete so the failure path
     // replays exactly the output the serial walk would have produced
-    // before the error. A worker processes its units in increasing order,
-    // so everything it owns below its own error point is already done; the
-    // wasted work in other workers is bounded by one (rare, fatal) error.
-    for (size_t U = Shard; U < Units.size(); U += NumShards) {
+    // before the error. Every unit below a worker's error point was
+    // claimed before it and is finished by whoever claimed it; the wasted
+    // work in other workers is bounded by one (rare, fatal) error.
+    for (size_t U; (U = NextUnit.fetch_add(1, std::memory_order_relaxed)) <
+                   Units.size();) {
       Operation *UnitRoot = Units[U].Root;
       auto Offer = [&](Operation *Candidate) -> WalkResult {
         if (MultiRoot && Units[U].Recurse) {
@@ -500,9 +653,7 @@ DSF MatcherEngine::match(const std::vector<Operation *> &Roots,
     }
   };
 
-  if (NumShards <= 1) {
-    RunWorker(0);
-  } else {
+  if (NumShards > 1) {
     // Warm the per-OpInfo TransformOpDef cache for every op a matcher can
     // execute: the lazy fill in lookupTransformOpDef is a benign-value but
     // racy write under concurrency, and warming it here keeps the workers
@@ -512,13 +663,8 @@ DSF MatcherEngine::match(const std::vector<Operation *> &Roots,
         if (Nested->getDialectName() == "transform")
           (void)lookupTransformOpDef(Nested);
       });
-    std::vector<std::thread> Workers;
-    Workers.reserve(NumShards);
-    for (unsigned S = 0; S < NumShards; ++S)
-      Workers.emplace_back([&, S] { RunWorker(S); });
-    for (std::thread &Worker : Workers)
-      Worker.join();
   }
+  ShardPool::instance().run(NumShards, RunWorker);
 
   // Merge back into serial walk order, up to and including the earliest
   // failing unit.
@@ -542,12 +688,18 @@ DSF MatcherEngine::match(const std::vector<Operation *> &Roots,
 //===----------------------------------------------------------------------===//
 
 Value MatcherEngine::pin(std::vector<Operation *> Ops) {
-  auto Key = std::make_unique<ValueImpl>();
-  Key->Ty = TransformAnyOpType::get(DriverOp->getContext());
-  Value Handle(Key.get());
+  ValueImpl &Key = Pins.emplace_back();
+  Key.Ty = PinType;
+  Value Handle(&Key);
   Interp.getState().setPayload(Handle, std::move(Ops));
-  Pins.push_back(std::move(Key));
   return Handle;
+}
+
+/// Whether \p Slot has a pin of its own; a slot forwarding exactly the
+/// candidate shares the candidate's pin.
+static bool hasOwnPin(const MatcherEngine::PinnedMatch &PM,
+                      const MatcherEngine::PinnedSlot &Slot) {
+  return Slot.Handle && Slot.Handle != PM.CandidateHandle;
 }
 
 /// Whether the pinned match no longer reflects what the matcher approved:
@@ -563,7 +715,7 @@ static bool isStaleMatch(const TransformState &State,
       CandOps[0] != PM.OriginalCandidate)
     return true;
   for (const MatcherEngine::PinnedSlot &Slot : PM.Slots) {
-    if (!Slot.Handle)
+    if (!hasOwnPin(PM, Slot))
       continue;
     if (State.isInvalidated(Slot.Handle) ||
         State.getPayloadOps(Slot.Handle).empty())
@@ -749,6 +901,8 @@ DSF MatcherEngine::commit(std::vector<Match> &Matches, const CommitAction &Act,
       PinnedSlot Slot;
       if (FV.IsParam)
         Slot.Params = std::move(FV.Params);
+      else if (FV.Ops.size() == 1 && FV.Ops[0] == M.Candidate)
+        Slot.Handle = PM.CandidateHandle;
       else
         Slot.Handle = pin(std::move(FV.Ops));
       PM.Slots.push_back(std::move(Slot));
@@ -767,6 +921,48 @@ DSF MatcherEngine::commit(std::vector<Match> &Matches, const CommitAction &Act,
   return commitPartitioned(Pinned, Act, NumShards);
 }
 
+namespace {
+
+/// A commit partition's payload subtree as it was before a speculative
+/// commit: a detached clone, plus the original ops in the pre-order the
+/// clone repeats.
+struct PartitionSnapshot {
+  OwningOpRef Clone;
+  std::vector<Operation *> Originals;
+
+  static void collectPreOrder(Operation *Op, std::vector<Operation *> &Out) {
+    Out.push_back(Op);
+    for (unsigned R = 0; R < Op->getNumRegions(); ++R)
+      for (Block &B : Op->getRegion(R))
+        for (Operation *Nested : B)
+          collectPreOrder(Nested, Out);
+  }
+
+  static PartitionSnapshot take(Operation *Key) {
+    PartitionSnapshot Snap;
+    Snap.Clone = OwningOpRef(Key->clone());
+    collectPreOrder(Key, Snap.Originals);
+    return Snap;
+  }
+
+  /// Puts the clone back in place of \p Key, discarding what the commit did
+  /// to it, and rebinds \p State's handles from each original op to its
+  /// clone (by address: ops the commit erased are never dereferenced).
+  void restore(Operation *Key, TransformState &State) {
+    Operation *Restored = Clone.release();
+    Key->getBlock()->insert(Key->getBlockIterator(), Restored);
+    if (Key->getNumResults())
+      Key->replaceAllUsesWith(Restored);
+    std::vector<Operation *> Clones;
+    collectPreOrder(Restored, Clones);
+    for (size_t I = 0; I < Clones.size(); ++I)
+      State.replacePayloadOp(Originals[I], {Clones[I]});
+    Key->erase();
+  }
+};
+
+} // namespace
+
 DSF MatcherEngine::commitPartitioned(std::vector<PinnedMatch> &Pinned,
                                      const CommitAction &Act,
                                      unsigned NumShards) {
@@ -781,19 +977,23 @@ DSF MatcherEngine::commitPartitioned(std::vector<PinnedMatch> &Pinned,
     size_t Begin = 0; ///< [Begin, End) into Pinned.
     size_t End = 0;
     std::string SerialReason; ///< Non-empty: run as an in-order barrier.
+    bool MayFail = false;     ///< Some match's action may fail.
   };
   std::vector<Partition> Partitions;
   for (size_t I = 0; I < Pinned.size(); ++I) {
     Operation *Key =
         commitPartitionKey(Pinned[I].OriginalCandidate, PayloadRoot);
+    bool MayFail = Pairs[Pinned[I].PairIdx].ActionMayFail;
     if (!Partitions.empty() && Partitions.back().Key == Key) {
       Partitions.back().End = I + 1;
+      Partitions.back().MayFail |= MayFail;
       continue;
     }
     Partition Part;
     Part.Key = Key;
     Part.Begin = I;
     Part.End = I + 1;
+    Part.MayFail = MayFail;
     Partitions.push_back(std::move(Part));
   }
 
@@ -811,6 +1011,15 @@ DSF MatcherEngine::commitPartitioned(std::vector<PinnedMatch> &Pinned,
       Part.SerialReason =
           "its candidate is not nested below a top-level child of the "
           "payload root";
+      continue;
+    }
+    // A rewriting action (or the snapshot guarding it) creates ops inside
+    // the child; when the child is not isolated from above, those ops may
+    // use values defined outside it, whose use lists other partitions share.
+    if (Part.MayFail && !Part.Key->hasTrait(OT_IsolatedFromAbove)) {
+      Part.SerialReason =
+          "its action may rewrite a top-level child that is not isolated "
+          "from above";
       continue;
     }
     for (size_t I = Part.Begin; I < Part.End && Part.SerialReason.empty();
@@ -832,7 +1041,7 @@ DSF MatcherEngine::commitPartitioned(std::vector<PinnedMatch> &Pinned,
       // Matcher-forwarded payload must stay inside the partition's subtree
       // too (checked against the pins before any action has run).
       for (const PinnedSlot &Slot : PM.Slots) {
-        if (!Slot.Handle)
+        if (!hasOwnPin(PM, Slot))
           continue;
         for (Operation *Fwd : State.getPayloadOps(Slot.Handle)) {
           if (Fwd == Part.Key) {
@@ -878,10 +1087,11 @@ DSF MatcherEngine::commitPartitioned(std::vector<PinnedMatch> &Pinned,
   };
 
   // Runs the maximal run of parallel-safe partitions [WaveBegin, WaveEnd)
-  // concurrently: round-robin partitions over workers, each with a scratch
-  // interpreter whose state records payload-tracking events; after the join,
-  // per-partition diagnostics and events are replayed into the driver in
-  // walk order, so the merged outcome is byte-identical to serial.
+  // concurrently: workers claim partitions in walk order from one counter,
+  // each with a scratch interpreter whose state records payload-tracking
+  // events; after the join, per-partition diagnostics and events are
+  // replayed into the driver in walk order, so the merged outcome is
+  // byte-identical to serial.
   auto RunWave = [&](size_t WaveBegin, size_t WaveEnd) -> DSF {
     size_t WaveSize = WaveEnd - WaveBegin;
     unsigned NumWorkers =
@@ -889,27 +1099,6 @@ DSF MatcherEngine::commitPartitioned(std::vector<PinnedMatch> &Pinned,
     telemetry::ScopedSpan WaveSpan("commit:wave", "engine");
     WaveSpan.arg("partitions", static_cast<int64_t>(WaveSize));
     WaveSpan.arg("workers", static_cast<int64_t>(NumWorkers));
-
-    std::vector<std::unique_ptr<TransformInterpreter>> Workers;
-    for (unsigned W = 0; W < NumWorkers; ++W) {
-      Workers.push_back(std::make_unique<TransformInterpreter>(
-          PayloadRoot, ScriptRoot, ScratchOptions));
-      Workers.back()->getState().enableEventLog();
-    }
-    // Transfer the wave's pinned handles into the owning worker's state
-    // (single-threaded, before any worker starts): the staleness check and
-    // the client callback read them through the worker.
-    for (size_t K = 0; K < WaveSize; ++K) {
-      TransformState &WState = Workers[K % NumWorkers]->getState();
-      const Partition &Part = Partitions[WaveBegin + K];
-      for (size_t I = Part.Begin; I < Part.End; ++I) {
-        const PinnedMatch &PM = Pinned[I];
-        WState.adoptBinding(PM.CandidateHandle, State);
-        for (const PinnedSlot &Slot : PM.Slots)
-          if (Slot.Handle)
-            WState.adoptBinding(Slot.Handle, State);
-      }
-    }
 
     // Each slot is written by exactly one worker; the merge reads them after
     // the join.
@@ -920,16 +1109,50 @@ DSF MatcherEngine::commitPartitioned(std::vector<PinnedMatch> &Pinned,
     // replay exactly what the serial commit would have done up to the
     // failure point.
     std::atomic<size_t> MinFailed{WaveSize};
+    std::atomic<size_t> NextPart{0};
+    // A partition claimed while an earlier one whose action may fail is
+    // still running commits speculatively: should the earlier one fail, the
+    // serial commit would never have run it. Such partitions snapshot their
+    // subtree first, so the merge can roll them back. A partition is marked
+    // finished only after its failure, if any, is published in MinFailed.
+    std::vector<std::atomic<bool>> Finished(WaveSize);
+    std::vector<PartitionSnapshot> Snapshots(WaveSize);
+    static telemetry::Counter &SnapshotsTaken =
+        telemetry::counter("engine.commit.snapshots");
 
     auto RunWorker = [&](unsigned W) {
-      TransformInterpreter &Worker = *Workers[W];
+      TransformInterpreter Worker(PayloadRoot, ScriptRoot, ScratchOptions);
+      Worker.getState().enableEventLog();
       telemetry::ScopedSpan WorkerSpan("commit:worker", "engine");
       WorkerSpan.arg("worker", static_cast<int64_t>(W));
       ThreadDiagnosticCapture Capture;
-      for (size_t K = W; K < WaveSize; K += NumWorkers) {
+      // Every may-fail partition below Settled has finished. Partitions
+      // only ever become finished, so the scan resumes where it stopped;
+      // on the inline path it always reaches the claimed partition.
+      size_t Settled = 0;
+      for (size_t K; (K = NextPart.fetch_add(1, std::memory_order_relaxed)) <
+                     WaveSize;) {
+        while (Settled < K &&
+               (!Partitions[WaveBegin + Settled].MayFail ||
+                Finished[Settled].load(std::memory_order_acquire)))
+          ++Settled;
         if (K > MinFailed.load(std::memory_order_acquire))
-          continue;
+          break;
         const Partition &Part = Partitions[WaveBegin + K];
+        // Take the partition's pins on claim: the staleness check and the
+        // client callback read them through the worker. Nothing reads a
+        // committed partition's pins in the driver's state again.
+        for (size_t I = Part.Begin; I < Part.End; ++I) {
+          const PinnedMatch &PM = Pinned[I];
+          Worker.getState().takeBinding(PM.CandidateHandle, State);
+          for (const PinnedSlot &Slot : PM.Slots)
+            if (hasOwnPin(PM, Slot))
+              Worker.getState().takeBinding(Slot.Handle, State);
+        }
+        if (Settled < K) {
+          Snapshots[K] = PartitionSnapshot::take(Part.Key);
+          SnapshotsTaken.add();
+        }
         telemetry::ScopedSpan PartSpan("commit:partition", "engine");
         PartSpan.arg("matches", static_cast<int64_t>(Part.End - Part.Begin));
         DSF PartResult =
@@ -942,22 +1165,21 @@ DSF MatcherEngine::commitPartitioned(std::vector<PinnedMatch> &Pinned,
                                 Cur, K, std::memory_order_acq_rel))
             ;
         }
+        Finished[K].store(true, std::memory_order_release);
       }
     };
-
-    std::vector<std::thread> Threads;
-    Threads.reserve(NumWorkers);
-    for (unsigned W = 0; W < NumWorkers; ++W)
-      Threads.emplace_back([&, W] { RunWorker(W); });
-    for (std::thread &T : Threads)
-      T.join();
+    ShardPool::instance().run(NumWorkers, RunWorker);
 
     // Replay per-partition output into the driver in walk order, up to and
     // including the earliest failing partition (its action ran, exactly as
-    // it would have serially; later partitions that raced ahead are
-    // dropped — the run aborts anyway).
+    // it would have serially). Later partitions that raced ahead are rolled
+    // back and their output dropped; the rollback runs before any replay,
+    // while the driver's state still names only pre-wave ops.
     size_t Failed = MinFailed.load(std::memory_order_acquire);
     size_t ReplayEnd = Failed == WaveSize ? WaveSize : Failed + 1;
+    for (size_t K = ReplayEnd; K < WaveSize; ++K)
+      if (Snapshots[K].Clone)
+        Snapshots[K].restore(Partitions[WaveBegin + K].Key, State);
     static telemetry::Counter &ParallelPartitions =
         telemetry::counter("engine.commit.parallel_partitions");
     ParallelPartitions.add(static_cast<int64_t>(ReplayEnd));

@@ -19,11 +19,11 @@
 ///    `TransformOpDef::MatcherOk` ops may execute) against scratch
 ///    interpreter states, so the phase never touches the driver's
 ///    TransformState or the payload IR. Because of that purity the walk can
-///    be sharded across worker threads (one shard pool partitioned over the
-///    top-level children of each root, e.g. per `func.func` of a module);
-///    shard results are merged back into serial walk order before being
-///    returned, so the match set — and everything downstream — is
-///    byte-identical to the single-threaded walk.
+///    be sharded across worker threads (walk units are the top-level
+///    children of each root, e.g. one per `func.func` of a module, claimed
+///    in order by the workers); shard results are merged back into serial
+///    walk order before being returned, so the match set — and everything
+///    downstream — is byte-identical to the single-threaded walk.
 ///
 ///  * The **commit phase** mutates payload and is parallel for the
 ///    conflict-free common case. Every match is pinned under tracked
@@ -43,7 +43,11 @@
 ///    back to the serial path as in-order barriers. Per-worker diagnostics
 ///    and payload-tracking events are merged back into serial walk order, so
 ///    remarks, errors, and payload output are byte-identical to the serial
-///    commit at any shard count.
+///    commit at any shard count; a partition that ran past a failing one is
+///    rolled back from a snapshot.
+///
+/// Both phases run their shards on one process-wide pool of parked helper
+/// threads, with the calling thread as shard 0.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -54,8 +58,8 @@
 #include "core/Transform.h"
 #include "support/Diagnostics.h"
 
+#include <deque>
 #include <functional>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -145,7 +149,9 @@ public:
   /// One forwarded value pinned for the commit phase: a tracked synthetic
   /// handle (op values) or the raw parameter list.
   struct PinnedSlot {
-    Value Handle; ///< Null for parameter slots.
+    /// Null for parameter slots; the candidate handle itself when the
+    /// matcher forwards exactly the candidate (one pin, tracked once).
+    Value Handle;
     std::vector<Attribute> Params;
   };
 
@@ -233,7 +239,9 @@ public:
   /// interpreter on the serial path, a worker-thread scratch interpreter in
   /// the parallel commit phase. Clients must read handles and execute action
   /// bodies through \p Worker — never through a captured driver state — or
-  /// parallel commits would race on the driver's TransformState.
+  /// parallel commits would race on the driver's TransformState. On the
+  /// parallel path the callback may fail only when the pair's action does
+  /// (a match-only client's callback must not fail at all).
   using CommitAction = std::function<DiagnosedSilenceableFailure(
       TransformInterpreter &Worker, const PinnedMatch &PM)>;
 
@@ -273,6 +281,10 @@ private:
     /// reason partitions committing this pair must run serially.
     std::string SerialReason;
     bool SerialReasonAnalyzed = false;
+    /// Whether an action run can fail at all (see actionMayFail). Parallel
+    /// commit snapshots the partitions it runs after one that may fail, so
+    /// a failure can roll them back to where the serial commit stops.
+    bool ActionMayFail = false;
   };
 
   /// What one match unit or commit partition produced on its worker, kept
@@ -314,8 +326,11 @@ private:
   Operation *DriverOp;
   std::string DriverName;
   std::vector<Pair> Pairs;
-  /// Synthetic pinned handles owned by the engine, forgotten on destruction.
-  std::vector<std::unique_ptr<ValueImpl>> Pins;
+  /// Synthetic pinned handles owned by the engine, forgotten on destruction
+  /// (a deque: pins keep their address as it grows).
+  std::deque<ValueImpl> Pins;
+  /// The type of every pin, `!transform.any_op`, resolved once.
+  Type PinType;
 };
 
 } // namespace tdl

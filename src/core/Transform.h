@@ -250,12 +250,14 @@ public:
   /// dangling keys behind.
   void forget(Value Handle);
 
-  /// Copies \p Handle's binding — payload ops or params *and* the
-  /// invalidated bit — from \p From into this state. The parallel commit
-  /// phase uses this to hand a match's pinned handles from the driver state
-  /// to the worker state that will run its action (setPayload would clear
-  /// the invalidated bit, losing staleness from earlier waves).
-  void adoptBinding(Value Handle, const TransformState &From);
+  /// Moves \p Handle's binding — payload ops or params *and* the
+  /// invalidated bit — from \p From into this state, leaving \p From with an
+  /// empty binding. The parallel commit phase uses this to hand a match's
+  /// pinned handles from the driver state to the worker state that runs its
+  /// action (setPayload would clear the invalidated bit, losing staleness
+  /// from earlier waves). Only \p Handle's entry of \p From is written, so
+  /// workers may take distinct handles from one state concurrently.
+  void takeBinding(Value Handle, TransformState &From);
 
   /// Invalidates every non-invalidated handle holding an op of \p Closure
   /// (pointer identity only — members of \p Closure are never dereferenced,

@@ -148,14 +148,14 @@ void TransformState::invalidateAliasesByIdentity(
   }
 }
 
-void TransformState::adoptBinding(Value Handle, const TransformState &From) {
+void TransformState::takeBinding(Value Handle, TransformState &From) {
   ValueImpl *Impl = Handle.getImpl();
   auto HandleIt = From.HandleMap.find(Impl);
   if (HandleIt != From.HandleMap.end())
-    HandleMap[Impl] = HandleIt->second;
+    HandleMap[Impl] = std::move(HandleIt->second);
   auto ParamIt = From.ParamMap.find(Impl);
   if (ParamIt != From.ParamMap.end())
-    ParamMap[Impl] = ParamIt->second;
+    ParamMap[Impl] = std::move(ParamIt->second);
   if (From.Invalidated.count(Impl))
     Invalidated.insert(Impl);
   else

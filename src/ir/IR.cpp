@@ -91,6 +91,11 @@ Operation *Operation::create(Context &Ctx, const OperationState &State) {
   const OpInfo *Info = Ctx.getOrCreateOpInfo(State.Name);
   assert(Info && "creating operation with unknown name; register the dialect "
                  "or enable unregistered ops");
+  return create(Ctx, Info, State);
+}
+
+Operation *Operation::create(Context &Ctx, const OpInfo *Info,
+                             const OperationState &State) {
   Operation *Op = new Operation(Ctx, State.Loc, Info);
 
   Op->Operands.reserve(State.Operands.size());
@@ -334,17 +339,19 @@ void Operation::moveAfter(Operation *Anchor) {
 //===----------------------------------------------------------------------===//
 
 Operation *Operation::clone(IRMapping &Mapping) const {
-  OperationState State(Loc, Info->Name);
+  // The clone shares this op's OpInfo (no name lookup in the context) and
+  // takes its attributes straight from this op.
+  OperationState State(Loc, "");
   for (ValueImpl *Operand : Operands)
     State.Operands.push_back(Mapping.lookupOrDefault(Value(Operand)));
   for (const auto &Impl : Results)
     State.ResultTypes.push_back(Impl->Ty);
-  State.Attributes = Attrs;
   for (Block *Succ : Successors)
     State.Successors.push_back(Mapping.lookupOrDefault(Succ));
   State.NumRegions = Regions.size();
 
-  Operation *NewOp = create(*Ctx, State);
+  Operation *NewOp = create(*Ctx, Info, State);
+  NewOp->Attrs = Attrs;
   for (unsigned I = 0; I < getNumResults(); ++I)
     Mapping.map(getResult(I), NewOp->getResult(I));
 

@@ -313,6 +313,10 @@ private:
   Operation(Context &Ctx, Location Loc, const OpInfo *Info);
   ~Operation();
 
+  /// create() once \p Info is resolved; \p State's name is not read.
+  static Operation *create(Context &Ctx, const OpInfo *Info,
+                           const OperationState &State);
+
   Context *Ctx;
   Location Loc;
   const OpInfo *Info;

@@ -24,6 +24,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <thread>
+
 using namespace tdl;
 
 namespace {
@@ -912,6 +915,8 @@ TEST_F(MatcherEngineTest, CommitShardedOutputAndDiagnosticsByteIdentical) {
         << "conflict-free partitions must commit in parallel at shard count "
         << NumShards;
     EXPECT_EQ(Window.counter("engine.commit.serial_partitions"), 0);
+    EXPECT_EQ(Window.counter("engine.commit.snapshots"), 0)
+        << "annotate/remark actions cannot fail, so nothing is speculative";
     EXPECT_EQ(printed(Payload.get()), SerialText)
         << "commit shard count " << NumShards
         << " diverged from the serial commit";
@@ -974,9 +979,103 @@ TEST_F(MatcherEngineTest, CommitShardedConsumingActionsAreDeterministic) {
     EXPECT_EQ(Window.counter("engine.commit.parallel_partitions"), 6)
         << "consuming actions inside a partition are still conflict-free";
     EXPECT_EQ(Window.counter("engine.commit.serial_partitions"), 0);
+    // Unroll may fail, so partitions claimed while an earlier one runs
+    // snapshot first; the first partition never has an earlier one.
+    EXPECT_LT(Window.counter("engine.commit.snapshots"), 6);
     EXPECT_EQ(printed(Payload.get()), SerialText)
         << "commit shard count " << NumShards
         << " diverged from the serial commit";
+  }
+}
+
+TEST_F(MatcherEngineTest, RewritingActionsUnderNonIsolatedChildrenCommitSerially) {
+  // The payload root is a function, so the partition keys are the loops of
+  // its body, and their ops use %m and %lb, defined outside every key.
+  // Unrolling an inner loop clones ops that use them (as does the snapshot
+  // guarding a speculative partition), editing use lists all partitions
+  // share: such partitions commit serially. Annotations touch no use list
+  // and stay parallel.
+  std::string Loops;
+  for (int L = 0; L < 4; ++L)
+    Loops += R"(
+        "scf.for"(%lb, %ub, %one) ({
+        ^outer(%i: index):
+          "scf.for"(%lb, %ub, %one) ({
+          ^inner(%j: index):
+            %v = "memref.load"(%m, %i, %j)
+              : (memref<8x8xf64>, index, index) -> (f64)
+            "memref.store"(%v, %m, %j, %i)
+              : (f64, memref<8x8xf64>, index, index) -> ()
+            "scf.yield"() : () -> ()
+          }) {inner} : (index, index, index) -> ()
+          "scf.yield"() : () -> ()
+        }) : (index, index, index) -> ())";
+  std::string PayloadText = R"("builtin.module"() ({
+      "func.func"() ({
+      ^bb0(%m: memref<8x8xf64>):
+        %lb = "arith.constant"() {value = 0 : index} : () -> (index)
+        %ub = "arith.constant"() {value = 8 : index} : () -> (index)
+        %one = "arith.constant"() {value = 1 : index} : () -> (index))" +
+                            Loops + R"(
+        "func.return"() : () -> ()
+      }) {sym_name = "f", function_type = (memref<8x8xf64>) -> ()}
+        : () -> ()
+    }) : () -> ())";
+  auto ScriptFor = [&](std::string_view ActionBody) {
+    return makeScriptModule(R"(
+      "transform.named_sequence"() ({
+      ^bb0(%op: !transform.any_op):
+        %0 = "transform.match.attr"(%op) {name = "inner"}
+          : (!transform.any_op) -> (!transform.any_op)
+        "transform.yield"() : () -> ()
+      }) {sym_name = "is_inner"} : () -> ()
+      "transform.named_sequence"() ({
+      ^bb0(%loop: !transform.any_op):)" +
+                            std::string(ActionBody) + R"(
+        "transform.yield"() : () -> ()
+      }) {sym_name = "act"} : () -> ()
+      "transform.named_sequence"() ({
+      ^bb0(%root: !transform.any_op):
+        %u = "transform.foreach_match"(%root)
+          {matchers = [@is_inner], actions = [@act]}
+          : (!transform.any_op) -> (!transform.any_op)
+        "transform.yield"() : () -> ()
+      }) {sym_name = "__transform_main"} : () -> ()
+    )");
+  };
+  OwningOpRef Unroll = ScriptFor(R"(
+        "transform.loop.unroll"(%loop) {factor = 2 : index}
+          : (!transform.any_op) -> ())");
+  OwningOpRef Annotate = ScriptFor(R"(
+        "transform.annotate"(%loop) {name = "seen"}
+          : (!transform.any_op) -> ())");
+  ASSERT_TRUE(Unroll);
+  ASSERT_TRUE(Annotate);
+
+  struct Case {
+    Operation *Script;
+    int64_t Parallel, Serial;
+  };
+  for (Case C : {Case{Unroll.get(), 0, 4}, Case{Annotate.get(), 4, 0}}) {
+    std::string SerialText;
+    for (unsigned NumShards : {1u, 4u}) {
+      OwningOpRef Payload = parseSourceString(Ctx, PayloadText);
+      ASSERT_TRUE(Payload);
+      Operation *Func = *Payload->getRegion(0).front().begin();
+      TransformOptions Options;
+      Options.CommitShards = NumShards;
+      telemetry::MetricsWindow Window;
+      ASSERT_TRUE(succeeded(applyTransforms(Func, C.Script, Options)));
+      EXPECT_TRUE(succeeded(verify(Payload.get())));
+      if (NumShards == 1) {
+        SerialText = printed(Payload.get());
+        continue;
+      }
+      EXPECT_EQ(Window.counter("engine.commit.parallel_partitions"),
+                C.Parallel);
+      EXPECT_EQ(Window.counter("engine.commit.serial_partitions"), C.Serial);
+      EXPECT_EQ(printed(Payload.get()), SerialText);
+    }
   }
 }
 
@@ -1115,6 +1214,292 @@ TEST_F(MatcherEngineTest, CommitShardedErrorReplaysEarlierPartitionRemarks) {
     EXPECT_EQ(Remarks, 3)
         << "commit shard count " << NumShards
         << " must replay exactly the remarks before the failure point";
+  }
+}
+
+//===----------------------------------------------------------------------===//
+// Failure replay and the shared shard pool
+//===----------------------------------------------------------------------===//
+
+/// Eight functions like makeManyFuncPayload's; only function 4 — a middle
+/// walk unit and a middle commit partition — also multiplies.
+static std::string middleMulPayloadText() {
+  std::string Funcs;
+  for (int F = 0; F < 8; ++F) {
+    std::string Mul = F == 4 ? R"(
+          %p = "arith.mulf"(%w, %w) : (f64, f64) -> (f64))"
+                             : "";
+    Funcs += R"(
+      "func.func"() ({
+      ^bb0(%m: memref<8x8xf64>):
+        %lb = "arith.constant"() {value = 0 : index} : () -> (index)
+        %ub = "arith.constant"() {value = 8 : index} : () -> (index)
+        %one = "arith.constant"() {value = 1 : index} : () -> (index)
+        "scf.for"(%lb, %ub, %one) ({
+        ^body(%i: index):
+          %v = "memref.load"(%m, %i, %lb)
+            : (memref<8x8xf64>, index, index) -> (f64)
+          %w = "arith.addf"(%v, %v) : (f64, f64) -> (f64))" +
+             Mul + R"(
+          "memref.store"(%w, %m, %i, %lb)
+            : (f64, memref<8x8xf64>, index, index) -> ()
+          "scf.yield"() : () -> ()
+        }) : (index, index, index) -> ()
+        "func.return"() : () -> ()
+      }) {sym_name = "f)" +
+             std::to_string(F) +
+             R"(", function_type = (memref<8x8xf64>) -> ()} : () -> ()
+    )";
+  }
+  return "\"builtin.module\"() ({" + Funcs + "}) : () -> ()";
+}
+
+/// Runs \p Script over a fresh middleMulPayloadText() module at \p Shards
+/// match and commit shards; returns every diagnostic, rendered, followed by
+/// the printed payload. The run itself must fail.
+static std::string failedRunTranscript(Context &Ctx, Operation *Script,
+                                       unsigned Shards) {
+  OwningOpRef Payload = parseSourceString(Ctx, middleMulPayloadText());
+  if (!Payload)
+    return "payload does not parse";
+  TransformOptions Options;
+  Options.MatchShards = Shards;
+  Options.CommitShards = Shards;
+  ScopedDiagnosticCapture Capture(Ctx.getDiagEngine());
+  bool Failed = failed(applyTransforms(Payload.get(), Script, Options));
+  std::string Text = Failed ? "" : "unexpected success\n";
+  for (const Diagnostic &Diag : Capture.getDiagnostics())
+    Text += Diag.str() + "\n";
+  raw_string_ostream Stream(Text);
+  Payload->print(Stream);
+  return Text;
+}
+
+TEST_F(MatcherEngineTest, MiddleUnitMatcherErrorMatchesSerialAtFourShards) {
+  // Every function's loop draws a matcher remark; the typed matcher on
+  // arith.mulf is malformed, a definite error that only function 4
+  // reaches. At 4 shards the walk units after it may already be done when
+  // it fails; the replay must still stop exactly where the serial
+  // walk stops, and the failed match phase must leave the payload alone.
+  OwningOpRef Script = makeScriptModule(R"(
+    "transform.named_sequence"() ({
+    ^bb0(%op: !transform.any_op):
+      %0 = "transform.match.operation_name"(%op) {op_names = ["scf.for"]}
+        : (!transform.any_op) -> (!transform.any_op)
+      "transform.debug.emit_remark"(%0) {message = "saw a loop"}
+        : (!transform.any_op) -> ()
+      "transform.yield"() : () -> ()
+    }) {sym_name = "remark_loop"} : () -> ()
+    "transform.named_sequence"() ({
+    ^bb0(%op: !transform.op<"arith.mulf">):
+      %0 = "transform.match.operation_name"(%op) {}
+        : (!transform.op<"arith.mulf">) -> (!transform.any_op)
+      "transform.yield"() : () -> ()
+    }) {sym_name = "broken_on_mul"} : () -> ()
+    "transform.named_sequence"() ({
+    ^bb0(%op: !transform.any_op):
+      "transform.annotate"(%op) {name = "visited"} : (!transform.any_op) -> ()
+      "transform.yield"() : () -> ()
+    }) {sym_name = "mark"} : () -> ()
+    "transform.named_sequence"() ({
+    ^bb0(%root: !transform.any_op):
+      %u = "transform.foreach_match"(%root)
+        {matchers = [@remark_loop, @broken_on_mul], actions = [@mark, @mark]}
+        : (!transform.any_op) -> (!transform.any_op)
+      "transform.yield"() : () -> ()
+    }) {sym_name = "__transform_main"} : () -> ()
+  )");
+  ASSERT_TRUE(Script);
+  std::string Serial = failedRunTranscript(Ctx, Script.get(), 1);
+  EXPECT_NE(Serial.find("op_names"), std::string::npos) << Serial;
+  EXPECT_EQ(Serial.find("visited"), std::string::npos) << Serial;
+  // Functions 0-4 each hold one loop before the failing mulf.
+  size_t Remarks = 0;
+  for (size_t Pos = 0; (Pos = Serial.find("saw a loop", Pos)) !=
+                       std::string::npos;
+       ++Pos)
+    ++Remarks;
+  EXPECT_EQ(Remarks, 5u);
+  for (int Repeat = 0; Repeat < 20; ++Repeat)
+    ASSERT_EQ(failedRunTranscript(Ctx, Script.get(), 4), Serial)
+        << "repeat " << Repeat;
+}
+
+TEST_F(MatcherEngineTest, MiddlePartitionActionFailureMatchesSerialAtFourShards) {
+  // One conflict-free wave of eight partitions. Every add is annotated and
+  // remarked on; function 4's mulf action annotates and then fails
+  // definitely. The serial commit stops there: functions 5-7 keep their
+  // adds unannotated. At 4 shards later partitions may be claimed while
+  // function 4 is still committing; the diagnostics and the payload must
+  // still match the serial commit exactly.
+  OwningOpRef Script = makeScriptModule(R"(
+    "transform.named_sequence"() ({
+    ^bb0(%op: !transform.any_op):
+      %0 = "transform.match.operation_name"(%op) {op_names = ["arith.addf"]}
+        : (!transform.any_op) -> (!transform.any_op)
+      "transform.yield"() : () -> ()
+    }) {sym_name = "is_add"} : () -> ()
+    "transform.named_sequence"() ({
+    ^bb0(%add: !transform.any_op):
+      "transform.annotate"(%add) {name = "acted"} : (!transform.any_op) -> ()
+      "transform.debug.emit_remark"(%add) {message = "acting on an add"}
+        : (!transform.any_op) -> ()
+      "transform.yield"() : () -> ()
+    }) {sym_name = "remark_add"} : () -> ()
+    "transform.named_sequence"() ({
+    ^bb0(%op: !transform.any_op):
+      %0 = "transform.match.operation_name"(%op) {op_names = ["arith.mulf"]}
+        : (!transform.any_op) -> (!transform.any_op)
+      "transform.yield"() : () -> ()
+    }) {sym_name = "is_mul"} : () -> ()
+    "transform.named_sequence"() ({
+    ^bb0(%mul: !transform.any_op):
+      "transform.annotate"(%mul) {name = "acted"} : (!transform.any_op) -> ()
+      %0 = "transform.match.operation_name"(%mul) {}
+        : (!transform.any_op) -> (!transform.any_op)
+      "transform.yield"() : () -> ()
+    }) {sym_name = "broken_action"} : () -> ()
+    "transform.named_sequence"() ({
+    ^bb0(%root: !transform.any_op):
+      %u = "transform.foreach_match"(%root)
+        {matchers = [@is_add, @is_mul],
+         actions = [@remark_add, @broken_action]}
+        : (!transform.any_op) -> (!transform.any_op)
+      "transform.yield"() : () -> ()
+    }) {sym_name = "__transform_main"} : () -> ()
+  )");
+  ASSERT_TRUE(Script);
+  std::string Serial = failedRunTranscript(Ctx, Script.get(), 1);
+  EXPECT_NE(Serial.find("op_names"), std::string::npos) << Serial;
+  // Functions 0-4 are acted on (function 4's add and its mulf), 5-7 not.
+  size_t Acted = 0;
+  for (size_t Pos = 0; (Pos = Serial.find("acted", Pos)) != std::string::npos;
+       ++Pos)
+    ++Acted;
+  EXPECT_EQ(Acted, 6u) << Serial;
+  for (int Repeat = 0; Repeat < 20; ++Repeat) {
+    telemetry::MetricsWindow Window;
+    ASSERT_EQ(failedRunTranscript(Ctx, Script.get(), 4), Serial)
+        << "repeat " << Repeat;
+    EXPECT_EQ(Window.counter("engine.commit.parallel_partitions"), 5)
+        << "the wave replays partitions 0-4, up to the failing one";
+  }
+}
+
+TEST_F(MatcherEngineTest, ConcurrentInterpretersShareThePool) {
+  // Two interpreters, each with its own Context and payload, run sharded
+  // foreach_match at the same time. Whichever finds the shard pool busy
+  // runs its workers inline; either way each output must be byte-identical
+  // to its serial run.
+  struct Client {
+    Context Ctx;
+    OwningOpRef Script;
+    std::string Serial;
+  };
+  auto RunOnce = [](Client &C, unsigned Shards) {
+    OwningOpRef Payload = parseSourceString(C.Ctx, middleMulPayloadText());
+    if (!Payload)
+      return std::string("payload does not parse");
+    TransformOptions Options;
+    Options.MatchShards = Shards;
+    Options.CommitShards = Shards;
+    ScopedDiagnosticCapture Capture(C.Ctx.getDiagEngine());
+    if (failed(applyTransforms(Payload.get(), C.Script.get(), Options)))
+      return std::string("transform failed");
+    std::string Text;
+    for (const Diagnostic &Diag : Capture.getDiagnostics())
+      Text += Diag.str() + "\n";
+    raw_string_ostream Stream(Text);
+    Payload->print(Stream);
+    return Text;
+  };
+  // Registration touches process-wide registries: do it before any thread
+  // starts.
+  Client Clients[2];
+  for (Client &C : Clients) {
+    registerAllDialects(C.Ctx);
+    registerTransformDialect(C.Ctx);
+    C.Script = parseSourceString(C.Ctx,
+                                 std::string(R"("builtin.module"() ({)") +
+                                     CommitRemarkPairs + "}) : () -> ()",
+                                 "script");
+    ASSERT_TRUE(C.Script);
+    C.Serial = RunOnce(C, 1);
+    EXPECT_NE(C.Serial.find("committed_loop"), std::string::npos);
+  }
+  std::string Outputs[2][10];
+  std::vector<std::thread> Threads;
+  for (int T = 0; T < 2; ++T)
+    Threads.emplace_back([&, T] {
+      for (std::string &Out : Outputs[T])
+        Out = RunOnce(Clients[T], 3);
+    });
+  for (std::thread &Thread : Threads)
+    Thread.join();
+  for (int T = 0; T < 2; ++T)
+    for (const std::string &Out : Outputs[T])
+      EXPECT_EQ(Out, Clients[T].Serial) << "client " << T;
+}
+
+TEST_F(MatcherEngineTest, ConsecutiveSpanSessionsReusePoolThreads) {
+  // Pool threads outlive a SpanCollector session. Each session must hold
+  // exactly its own run's worker spans — one walk-shard span per match
+  // worker and one commit:worker span per wave worker, none missing and
+  // none left over from the previous session — and the second session
+  // must not start any thread.
+  OwningOpRef Script = makeScriptModule(CommitRemarkPairs);
+  ASSERT_TRUE(Script);
+  auto RunSession = [&] {
+    OwningOpRef Payload = makeManyFuncPayload(12);
+    TransformOptions Options;
+    Options.MatchShards = 4;
+    Options.CommitShards = 4;
+    ScopedDiagnosticCapture Capture(Ctx.getDiagEngine());
+    telemetry::SpanCollector::instance().start();
+    bool Applied =
+        succeeded(applyTransforms(Payload.get(), Script.get(), Options));
+    std::vector<telemetry::Span> Spans =
+        telemetry::SpanCollector::instance().finish();
+    EXPECT_TRUE(Applied);
+    return Spans;
+  };
+  auto Count = [](const std::vector<telemetry::Span> &Spans,
+                  std::string_view Name) {
+    return std::count_if(
+        Spans.begin(), Spans.end(),
+        [&](const telemetry::Span &S) { return S.Name == Name; });
+  };
+  telemetry::Counter &ThreadsStarted =
+      telemetry::counter("engine.worker_threads_started");
+  std::vector<telemetry::Span> First = RunSession();
+  // Four shards need three helpers, created by now if not earlier.
+  int64_t Started = ThreadsStarted.get();
+  EXPECT_GE(Started, 3);
+  std::vector<telemetry::Span> Second = RunSession();
+  EXPECT_EQ(ThreadsStarted.get(), Started)
+      << "the second session must reuse the pool's threads";
+  for (const std::vector<telemetry::Span> *Spans : {&First, &Second}) {
+    EXPECT_EQ(Count(*Spans, "engine:match"), 1);
+    EXPECT_EQ(Count(*Spans, "match:walk-shard"), 4);
+    EXPECT_EQ(Count(*Spans, "commit:wave"), 1);
+    EXPECT_EQ(Count(*Spans, "commit:worker"), 4);
+    EXPECT_EQ(Count(*Spans, "commit:partition"), 12);
+    // Every worker span lies inside its session's enclosing engine span.
+    for (const telemetry::Span &S : *Spans) {
+      std::string_view Parent = S.Name == "match:walk-shard" ? "engine:match"
+                                : S.Name == "commit:worker"  ? "commit:wave"
+                                                             : "";
+      if (Parent.empty())
+        continue;
+      auto It = std::find_if(Spans->begin(), Spans->end(),
+                             [&](const telemetry::Span &P) {
+                               return P.Name == Parent;
+                             });
+      ASSERT_NE(It, Spans->end());
+      EXPECT_GE(S.StartNanos, It->StartNanos) << S.Name;
+      EXPECT_LE(S.StartNanos + S.DurNanos, It->StartNanos + It->DurNanos)
+          << S.Name;
+    }
   }
 }
 
