@@ -119,25 +119,62 @@ void tdl::exec::xsmmMatmulKernel(Buffer &A, Buffer &B, Buffer &C, int64_t ILo,
 }
 
 //===----------------------------------------------------------------------===//
-// Compilation to closures
+// Compilation to a block program
 //===----------------------------------------------------------------------===//
 
 namespace {
+
+struct Slot {
+  enum class Kind { Int, Float, Mem } Kind = Kind::Int;
+  unsigned Index = 0;
+};
 
 struct Frame {
   std::vector<int64_t> Ints;
   std::vector<double> Floats;
   std::vector<Buffer> Bufs;
   int64_t OpCount = 0;
+
+  RuntimeValue get(Slot S) const {
+    if (S.Kind == Slot::Kind::Int)
+      return RuntimeValue::makeInt(Ints[S.Index]);
+    if (S.Kind == Slot::Kind::Float)
+      return RuntimeValue::makeFloat(Floats[S.Index]);
+    return RuntimeValue::makeBuffer(Bufs[S.Index]);
+  }
+
+  void set(Slot S, const RuntimeValue &V) {
+    switch (S.Kind) {
+    case Slot::Kind::Int:
+      Ints[S.Index] = V.I;
+      break;
+    case Slot::Kind::Float:
+      Floats[S.Index] = V.F;
+      break;
+    case Slot::Kind::Mem:
+      Bufs[S.Index] = V.Mem;
+      break;
+    }
+  }
+
+  /// Copies slot \p Src into index \p Dst of the same kind. Buffer copies
+  /// reuse the destination's capacity, so a warm frame does not allocate.
+  void copy(Slot Src, unsigned Dst) {
+    switch (Src.Kind) {
+    case Slot::Kind::Int:
+      Ints[Dst] = Ints[Src.Index];
+      break;
+    case Slot::Kind::Float:
+      Floats[Dst] = Floats[Src.Index];
+      break;
+    case Slot::Kind::Mem:
+      Bufs[Dst] = Bufs[Src.Index];
+      break;
+    }
+  }
 };
 
 using CompiledOp = std::function<void(Frame &)>;
-using Program = std::vector<CompiledOp>;
-
-struct Slot {
-  enum class Kind { Int, Float, Mem } Kind = Kind::Int;
-  unsigned Index = 0;
-};
 
 /// One (source slot, destination block-argument slot) edge of a branch.
 /// Branches copy with parallel semantics: all sources are read before any
@@ -147,40 +184,58 @@ struct BranchCopy {
   Slot Dst;
 };
 
-/// A compiled basic block of a CFG-form (`cf.*`) function body: the
-/// straight-line program plus a terminator descriptor interpreted by the
-/// invoke loop.
+/// A compiled basic block: a straight-line program plus a terminator that
+/// the dispatch loop in `invoke` interprets. Every function body compiles to
+/// one vector of these; structured `scf` ops and calls open extra blocks
+/// while they compile.
 struct CompiledBlock {
-  Program Body;
-  enum class Term { Return, Br, CondBr } Kind = Term::Return;
-  /// Return: the slots holding the function results.
-  std::vector<Slot> ReturnSlots;
-  /// Br/CondBr: successor indices into CompiledFunction::Blocks and the
-  /// block-argument copies to perform on each edge. Br uses the True pair.
-  Slot Cond;
+  std::vector<CompiledOp> Body;
+  enum class Term { Return, Br, CondBr, LoopEnter, LoopNext, Call } Kind =
+      Term::Return;
+  /// Executed ops the terminator counts: 1 for `cf.*`, `scf.if`,
+  /// `func.call` and a multi-block `func.return`; 0 for a single-block
+  /// `func.return` and the jumps the compiler adds. A loop terminator counts
+  /// it once per iteration it enters.
+  int64_t Cost = 0;
+  /// Return: the result slots. Call: the argument slots.
+  std::vector<Slot> Operands;
+  /// Call: the callee and the slots that receive its results.
+  std::string Callee;
+  std::vector<Slot> Results;
+  /// Int slot indices. CondBr tests Cond. LoopEnter sets `Iv = Lb`, LoopNext
+  /// sets `Iv += Step`; both then enter TrueDest while `Iv < Ub`.
+  unsigned Cond = 0;
+  struct LoopSlots {
+    unsigned Iv = 0, Lb = 0, Ub = 0, Step = 0;
+  } Loop;
+  /// Successor indices into CompiledFunction::Blocks and the block-argument
+  /// copies on each edge; FalseDest is the CondBr else edge and the loop
+  /// exit.
   int TrueDest = -1, FalseDest = -1;
   std::vector<BranchCopy> TrueCopies, FalseCopies;
 };
 
 struct CompiledFunction {
-  Program Body;
-  /// Non-empty for multi-block (CFG form) bodies; Body is unused then.
+  /// The block program; Blocks[0] is the entry.
   std::vector<CompiledBlock> Blocks;
   std::vector<Slot> ArgSlots;
-  std::vector<Slot> ResultSlots;
   unsigned NumInts = 0, NumFloats = 0, NumBufs = 0;
+  /// The most block-argument copies on one edge. Every frame holds this many
+  /// scratch slots of each kind past the value slots.
+  unsigned MaxCopies = 0;
+  /// Initial int slot values (the constant `scf.forall` bounds), sized to
+  /// the frame.
+  std::vector<int64_t> IntInit;
 };
-
-class FunctionCompiler;
 
 } // namespace
 
 struct Executor::Impl {
   Operation *Module;
-  std::map<std::string, std::shared_ptr<CompiledFunction>> Cache;
+  std::map<std::string, std::unique_ptr<CompiledFunction>, std::less<>> Cache;
   int64_t LastOpCount = 0;
 
-  FailureOr<std::shared_ptr<CompiledFunction>> compile(std::string_view Name);
+  FailureOr<const CompiledFunction *> compile(std::string_view Name);
   FailureOr<std::vector<RuntimeValue>> invoke(const CompiledFunction &Fn,
                                               std::vector<RuntimeValue> Args,
                                               int64_t &OpCount);
@@ -188,30 +243,70 @@ struct Executor::Impl {
 
 namespace {
 
+/// Copies view \p In into view \p Out element by element over In's sizes,
+/// from dimension \p Dim on at the given positions past each view's offset.
+void copyView(const Buffer &In, Buffer &Out, size_t Dim = 0, int64_t InPos = 0,
+              int64_t OutPos = 0) {
+  if (Dim == In.Sizes.size()) {
+    (*Out.Data)[Out.Offset + OutPos] = (*In.Data)[In.Offset + InPos];
+    return;
+  }
+  for (int64_t I = 0; I < In.Sizes[Dim]; ++I)
+    copyView(In, Out, Dim + 1, InPos + I * In.Strides[Dim],
+             OutPos + I * Out.Strides[Dim]);
+}
+
 class FunctionCompiler {
 public:
-  FunctionCompiler(Executor::Impl &Owner, Operation *Func)
-      : Owner(Owner), Func(Func) {}
+  FunctionCompiler(Operation *Func, CompiledFunction &Fn)
+      : Func(Func), Fn(Fn) {}
 
-  FailureOr<std::shared_ptr<CompiledFunction>> compile() {
-    auto Result = std::make_shared<CompiledFunction>();
-    Fn = Result.get();
+  /// One compiled block per basic block, in order; structured ops append
+  /// more. A single-block body's return counts no executed op.
+  LogicalResult compile() {
     Region &Top = Func->getRegion(0);
-    Block *Body = &Top.front();
-    for (Value Arg : Body->getArguments())
-      Result->ArgSlots.push_back(assignSlot(Arg));
-    if (Top.getNumBlocks() > 1) {
-      // CFG form (after convert-scf-to-cf): one compiled block per basic
-      // block, dispatched by the invoke loop.
-      if (failed(compileCfg(Top, *Result)))
-        return failure();
-    } else if (failed(compileBlock(*Body, Result->Body))) {
-      return failure();
+    for (Block &B : Top) {
+      BlockIndex[&B] = newBlock();
+      // Pre-assign block-argument slots so branch edges can target them.
+      for (Value Arg : B.getArguments())
+        (void)assignSlot(Arg);
     }
-    Result->NumInts = NumInts;
-    Result->NumFloats = NumFloats;
-    Result->NumBufs = NumBufs;
-    return Result;
+    for (Value Arg : Top.front().getArguments())
+      Fn.ArgSlots.push_back(assignSlot(Arg));
+    bool MultiBlock = Top.getNumBlocks() > 1;
+    for (Block &B : Top) {
+      Cur = BlockIndex[&B];
+      if (failed(compileOps(B)))
+        return failure();
+      Operation *Terminator = B.getTerminator();
+      if (!Terminator)
+        return Func->emitOpError() << "executor: block without a terminator";
+      CompiledBlock &Rec = Fn.Blocks[Cur];
+      std::string_view TermName = Terminator->getName();
+      Rec.Cost = MultiBlock || TermName != "func.return";
+      if (TermName == "func.return") {
+        Rec.Kind = CompiledBlock::Term::Return;
+        for (Value Operand : Terminator->getOperands())
+          Rec.Operands.push_back(assignSlot(Operand));
+      } else if (TermName == "cf.br") {
+        Rec.Kind = CompiledBlock::Term::Br;
+        bindEdge(Terminator, 0, 0, Terminator->getNumOperands(), Rec.TrueDest,
+                 Rec.TrueCopies);
+      } else if (TermName == "cf.cond_br") {
+        Rec.Kind = CompiledBlock::Term::CondBr;
+        Rec.Cond = assignSlot(Terminator->getOperand(0)).Index;
+        unsigned TrueEnd = 1 + static_cast<unsigned>(
+                                   Terminator->getIntAttr("true_count", 0));
+        bindEdge(Terminator, 0, 1, TrueEnd, Rec.TrueDest, Rec.TrueCopies);
+        bindEdge(Terminator, 1, TrueEnd, Terminator->getNumOperands(),
+                 Rec.FalseDest, Rec.FalseCopies);
+      } else {
+        return Terminator->emitOpError()
+               << "executor: unsupported CFG terminator";
+      }
+    }
+    Fn.IntInit.resize(Fn.NumInts + Fn.MaxCopies);
+    return success();
   }
 
 private:
@@ -223,111 +318,105 @@ private:
     Type Ty = V.getType();
     if (Ty.isFloat()) {
       S.Kind = Slot::Kind::Float;
-      S.Index = NumFloats++;
+      S.Index = Fn.NumFloats++;
     } else if (Ty.isa<MemRefType>()) {
       S.Kind = Slot::Kind::Mem;
-      S.Index = NumBufs++;
+      S.Index = Fn.NumBufs++;
     } else {
       S.Kind = Slot::Kind::Int;
-      S.Index = NumInts++;
+      S.Index = Fn.NumInts++;
     }
     Slots[V.getImpl()] = S;
     return S;
   }
 
-  LogicalResult compileBlock(Block &B, Program &Out) {
+  /// A fresh int slot that holds \p V from frame set-up on.
+  unsigned constSlot(int64_t V) {
+    Fn.IntInit.resize(Fn.NumInts + 1);
+    Fn.IntInit[Fn.NumInts] = V;
+    return Fn.NumInts++;
+  }
+
+  int newBlock() {
+    Fn.Blocks.emplace_back();
+    return static_cast<int>(Fn.Blocks.size()) - 1;
+  }
+
+  void emit(CompiledOp Op) { Fn.Blocks[Cur].Body.push_back(std::move(Op)); }
+
+  /// Binds successor \p Succ of \p Terminator, whose block arguments take
+  /// operands [Begin, End), to \p Dest and the edge's \p Copies.
+  void bindEdge(Operation *Terminator, unsigned Succ, unsigned Begin,
+                unsigned End, int &Dest, std::vector<BranchCopy> &Copies) {
+    Block *Target = Terminator->getSuccessor(Succ);
+    Dest = BlockIndex.at(Target);
+    for (unsigned I = Begin; I < End; ++I)
+      Copies.push_back({assignSlot(Terminator->getOperand(I)),
+                        assignSlot(Target->getArgument(I - Begin))});
+    Fn.MaxCopies = std::max<unsigned>(Fn.MaxCopies, Copies.size());
+  }
+
+  /// Compiles \p B's ops up to its terminator from the current block on.
+  LogicalResult compileOps(Block &B) {
     for (Operation *Op : B) {
-      if (Op->getName() == "func.return") {
-        for (Value Operand : Op->getOperands())
-          Fn->ResultSlots.push_back(assignSlot(Operand));
-        return success();
-      }
       if (Op->hasTrait(OT_IsTerminator))
-        return success(); // scf.yield
-      if (failed(compileOp(Op, Out)))
+        break;
+      if (failed(compileOp(Op)))
         return failure();
     }
     return success();
   }
 
-  /// Compiles a multi-block (CFG form) function body: every basic block
-  /// becomes a straight-line Program plus a terminator descriptor. Branch
-  /// operands are bound to successor block arguments as parallel copies.
-  LogicalResult compileCfg(Region &Top, CompiledFunction &Result) {
-    std::map<Block *, int> BlockIndex;
-    std::vector<Block *> Order;
-    for (Block &B : Top) {
-      BlockIndex[&B] = static_cast<int>(Order.size());
-      Order.push_back(&B);
-      // Pre-assign block-argument slots so branch edges can target them.
-      for (Value Arg : B.getArguments())
-        (void)assignSlot(Arg);
+  /// Compiles `for (Iv = Lb; Iv < Ub; Iv += Step) CompileBody()`: the
+  /// current block ends in LoopEnter, the body's last block in LoopNext, and
+  /// compilation goes on in a fresh exit block. Entering an iteration counts
+  /// \p Cost executed ops.
+  LogicalResult compileLoop(CompiledBlock::LoopSlots Loop, int64_t Cost,
+                            const std::function<LogicalResult()> &CompileBody) {
+    int Enter = Cur, Body = newBlock();
+    Cur = Body;
+    if (failed(CompileBody()))
+      return failure();
+    int Next = Cur, Exit = newBlock();
+    for (auto [Index, Kind] :
+         {std::pair(Enter, CompiledBlock::Term::LoopEnter),
+          std::pair(Next, CompiledBlock::Term::LoopNext)}) {
+      CompiledBlock &Rec = Fn.Blocks[Index];
+      Rec.Kind = Kind;
+      Rec.Loop = Loop;
+      Rec.Cost = Cost;
+      Rec.TrueDest = Body;
+      Rec.FalseDest = Exit;
     }
-    for (Block *B : Order) {
-      CompiledBlock Rec;
-      Operation *Terminator = nullptr;
-      for (Operation *Op : *B) {
-        if (Op->hasTrait(OT_IsTerminator)) {
-          Terminator = Op;
-          break;
-        }
-        if (failed(compileOp(Op, Rec.Body)))
-          return failure();
-      }
-      if (!Terminator)
-        return Func->emitOpError()
-               << "executor: CFG block without a terminator";
-      std::string_view TermName = Terminator->getName();
-      if (TermName == "func.return") {
-        Rec.Kind = CompiledBlock::Term::Return;
-        for (Value Operand : Terminator->getOperands())
-          Rec.ReturnSlots.push_back(assignSlot(Operand));
-      } else if (TermName == "cf.br") {
-        Rec.Kind = CompiledBlock::Term::Br;
-        Block *Dest = Terminator->getSuccessor(0);
-        Rec.TrueDest = BlockIndex.at(Dest);
-        for (unsigned I = 0; I < Terminator->getNumOperands(); ++I)
-          Rec.TrueCopies.push_back({assignSlot(Terminator->getOperand(I)),
-                                    assignSlot(Dest->getArgument(I))});
-      } else if (TermName == "cf.cond_br") {
-        Rec.Kind = CompiledBlock::Term::CondBr;
-        Rec.Cond = assignSlot(Terminator->getOperand(0));
-        Block *TrueDest = Terminator->getSuccessor(0);
-        Block *FalseDest = Terminator->getSuccessor(1);
-        Rec.TrueDest = BlockIndex.at(TrueDest);
-        Rec.FalseDest = BlockIndex.at(FalseDest);
-        unsigned TrueCount = static_cast<unsigned>(
-            Terminator->getIntAttr("true_count", 0));
-        for (unsigned I = 0; I < TrueCount; ++I)
-          Rec.TrueCopies.push_back(
-              {assignSlot(Terminator->getOperand(1 + I)),
-               assignSlot(TrueDest->getArgument(I))});
-        for (unsigned I = 1 + TrueCount; I < Terminator->getNumOperands();
-             ++I)
-          Rec.FalseCopies.push_back(
-              {assignSlot(Terminator->getOperand(I)),
-               assignSlot(FalseDest->getArgument(I - 1 - TrueCount))});
-      } else {
-        return Terminator->emitOpError()
-               << "executor: unsupported CFG terminator";
-      }
-      Result.Blocks.push_back(std::move(Rec));
-    }
+    Cur = Exit;
     return success();
   }
 
-  LogicalResult compileOp(Operation *Op, Program &Out);
+  /// `scf.forall` as one loop per dimension from \p Dim on, outermost
+  /// first; only an innermost iteration counts as an executed op.
+  LogicalResult compileForall(Block &Body, const std::vector<int64_t> &Lbs,
+                              const std::vector<int64_t> &Ubs, size_t Dim) {
+    if (Dim == Lbs.size())
+      return compileOps(Body);
+    return compileLoop({assignSlot(Body.getArgument(Dim)).Index,
+                        constSlot(Lbs[Dim]), constSlot(Ubs[Dim]), constSlot(1)},
+                       Dim + 1 == Lbs.size(), [&] {
+                         return compileForall(Body, Lbs, Ubs, Dim + 1);
+                       });
+  }
 
-  Executor::Impl &Owner;
+  LogicalResult compileOp(Operation *Op);
+
   Operation *Func;
-  CompiledFunction *Fn = nullptr;
+  CompiledFunction &Fn;
+  /// The block that compiled ops are appended to.
+  int Cur = 0;
+  std::map<Block *, int> BlockIndex;
   std::map<ValueImpl *, Slot> Slots;
-  unsigned NumInts = 0, NumFloats = 0, NumBufs = 0;
 };
 
-LogicalResult FunctionCompiler::compileOp(Operation *Op, Program &Out) {
+LogicalResult FunctionCompiler::compileOp(Operation *Op) {
   std::string_view Name = Op->getName();
-  Context &Ctx = Op->getContext();
 
   //===--------------------------------------------------------------------===//
   // Constants and integer/float arithmetic
@@ -337,7 +426,7 @@ LogicalResult FunctionCompiler::compileOp(Operation *Op, Program &Out) {
     Slot Dst = assignSlot(Op->getResult(0));
     if (IntegerAttr Int = Op->getAttrOfType<IntegerAttr>("value")) {
       int64_t V = Int.getValue();
-      Out.push_back([Dst, V](Frame &F) {
+      emit([Dst, V](Frame &F) {
         ++F.OpCount;
         F.Ints[Dst.Index] = V;
       });
@@ -345,7 +434,7 @@ LogicalResult FunctionCompiler::compileOp(Operation *Op, Program &Out) {
     }
     if (FloatAttr Float = Op->getAttrOfType<FloatAttr>("value")) {
       double V = Float.getValue();
-      Out.push_back([Dst, V](Frame &F) {
+      emit([Dst, V](Frame &F) {
         ++F.OpCount;
         F.Floats[Dst.Index] = V;
       });
@@ -364,7 +453,7 @@ LogicalResult FunctionCompiler::compileOp(Operation *Op, Program &Out) {
     Slot L = assignSlot(Op->getOperand(0)), R = assignSlot(Op->getOperand(1));
     Slot Dst = assignSlot(Op->getResult(0));
     int Kind = It->second;
-    Out.push_back([L, R, Dst, Kind](Frame &F) {
+    emit([L, R, Dst, Kind](Frame &F) {
       ++F.OpCount;
       int64_t A = F.Ints[L.Index], B = F.Ints[R.Index], V = 0;
       switch (Kind) {
@@ -401,7 +490,7 @@ LogicalResult FunctionCompiler::compileOp(Operation *Op, Program &Out) {
     Slot L = assignSlot(Op->getOperand(0)), R = assignSlot(Op->getOperand(1));
     Slot Dst = assignSlot(Op->getResult(0));
     int Kind = It->second;
-    Out.push_back([L, R, Dst, Kind](Frame &F) {
+    emit([L, R, Dst, Kind](Frame &F) {
       ++F.OpCount;
       double A = F.Floats[L.Index], B = F.Floats[R.Index], V = 0;
       switch (Kind) {
@@ -421,7 +510,7 @@ LogicalResult FunctionCompiler::compileOp(Operation *Op, Program &Out) {
     Slot L = assignSlot(Op->getOperand(0)), R = assignSlot(Op->getOperand(1));
     Slot Dst = assignSlot(Op->getResult(0));
     std::string Pred(Op->getStringAttr("predicate"));
-    Out.push_back([L, R, Dst, Pred](Frame &F) {
+    emit([L, R, Dst, Pred](Frame &F) {
       ++F.OpCount;
       int64_t A = F.Ints[L.Index], B = F.Ints[R.Index];
       bool V = false;
@@ -441,13 +530,13 @@ LogicalResult FunctionCompiler::compileOp(Operation *Op, Program &Out) {
     Slot L = assignSlot(Op->getOperand(1)), R = assignSlot(Op->getOperand(2));
     Slot Dst = assignSlot(Op->getResult(0));
     if (Dst.Kind == Slot::Kind::Float) {
-      Out.push_back([C, L, R, Dst](Frame &F) {
+      emit([C, L, R, Dst](Frame &F) {
         ++F.OpCount;
         F.Floats[Dst.Index] =
             F.Ints[C.Index] ? F.Floats[L.Index] : F.Floats[R.Index];
       });
     } else {
-      Out.push_back([C, L, R, Dst](Frame &F) {
+      emit([C, L, R, Dst](Frame &F) {
         ++F.OpCount;
         F.Ints[Dst.Index] =
             F.Ints[C.Index] ? F.Ints[L.Index] : F.Ints[R.Index];
@@ -459,7 +548,7 @@ LogicalResult FunctionCompiler::compileOp(Operation *Op, Program &Out) {
   if (Name == "arith.index_cast") {
     Slot Src = assignSlot(Op->getOperand(0));
     Slot Dst = assignSlot(Op->getResult(0));
-    Out.push_back([Src, Dst](Frame &F) {
+    emit([Src, Dst](Frame &F) {
       ++F.OpCount;
       F.Ints[Dst.Index] = F.Ints[Src.Index];
     });
@@ -469,7 +558,7 @@ LogicalResult FunctionCompiler::compileOp(Operation *Op, Program &Out) {
   if (Name == "arith.sitofp") {
     Slot Src = assignSlot(Op->getOperand(0));
     Slot Dst = assignSlot(Op->getResult(0));
-    Out.push_back([Src, Dst](Frame &F) {
+    emit([Src, Dst](Frame &F) {
       ++F.OpCount;
       F.Floats[Dst.Index] = static_cast<double>(F.Ints[Src.Index]);
     });
@@ -487,7 +576,7 @@ LogicalResult FunctionCompiler::compileOp(Operation *Op, Program &Out) {
       Operands.push_back(assignSlot(Operand));
     Slot Dst = assignSlot(Op->getResult(0));
     bool IsMin = Name == "affine.min";
-    Out.push_back([Map, Operands, Dst, IsMin](Frame &F) {
+    emit([Map, Operands, Dst, IsMin](Frame &F) {
       ++F.OpCount;
       std::vector<int64_t> Values;
       Values.reserve(Operands.size());
@@ -513,7 +602,7 @@ LogicalResult FunctionCompiler::compileOp(Operation *Op, Program &Out) {
       return Op->emitOpError() << "executor: dynamic alloc unsupported";
     Slot Dst = assignSlot(Op->getResult(0));
     std::vector<int64_t> Shape = Ty.getShape();
-    Out.push_back([Dst, Shape](Frame &F) {
+    emit([Dst, Shape](Frame &F) {
       ++F.OpCount;
       F.Bufs[Dst.Index] = Buffer::alloc(Shape);
     });
@@ -521,7 +610,7 @@ LogicalResult FunctionCompiler::compileOp(Operation *Op, Program &Out) {
   }
 
   if (Name == "memref.dealloc") {
-    Out.push_back([](Frame &F) { ++F.OpCount; });
+    emit([](Frame &F) { ++F.OpCount; });
     return success();
   }
 
@@ -531,7 +620,7 @@ LogicalResult FunctionCompiler::compileOp(Operation *Op, Program &Out) {
     for (unsigned I = 1; I < Op->getNumOperands(); ++I)
       Indices.push_back(assignSlot(Op->getOperand(I)));
     Slot Dst = assignSlot(Op->getResult(0));
-    Out.push_back([Mem, Indices, Dst](Frame &F) {
+    emit([Mem, Indices, Dst](Frame &F) {
       ++F.OpCount;
       Buffer &B = F.Bufs[Mem.Index];
       int64_t Linear = B.Offset;
@@ -548,7 +637,7 @@ LogicalResult FunctionCompiler::compileOp(Operation *Op, Program &Out) {
     std::vector<Slot> Indices;
     for (unsigned I = 2; I < Op->getNumOperands(); ++I)
       Indices.push_back(assignSlot(Op->getOperand(I)));
-    Out.push_back([Src, Mem, Indices](Frame &F) {
+    emit([Src, Mem, Indices](Frame &F) {
       ++F.OpCount;
       Buffer &B = F.Bufs[Mem.Index];
       int64_t Linear = B.Offset;
@@ -571,7 +660,7 @@ LogicalResult FunctionCompiler::compileOp(Operation *Op, Program &Out) {
     std::vector<Slot> DynSlots;
     for (unsigned I = 1; I < Op->getNumOperands(); ++I)
       DynSlots.push_back(assignSlot(Op->getOperand(I)));
-    Out.push_back([Src, Dst, Offsets, Sizes, Strides, DynSlots](Frame &F) {
+    emit([Src, Dst, Offsets, Sizes, Strides, DynSlots](Frame &F) {
       ++F.OpCount;
       Buffer &In = F.Bufs[Src.Index];
       Buffer Result;
@@ -604,91 +693,56 @@ LogicalResult FunctionCompiler::compileOp(Operation *Op, Program &Out) {
   if (Name == "memref.copy") {
     Slot Src = assignSlot(Op->getOperand(0));
     Slot Dst = assignSlot(Op->getOperand(1));
-    Out.push_back([Src, Dst](Frame &F) {
+    emit([Src, Dst](Frame &F) {
       ++F.OpCount;
-      Buffer &In = F.Bufs[Src.Index];
-      Buffer &OutB = F.Bufs[Dst.Index];
-      *OutB.Data = *In.Data;
+      copyView(F.Bufs[Src.Index], F.Bufs[Dst.Index]);
     });
     return success();
   }
 
   //===--------------------------------------------------------------------===//
-  // Control flow
+  // Structured control flow: extra blocks of the one block program
   //===--------------------------------------------------------------------===//
 
   if (Name == "scf.for") {
-    Slot Lb = assignSlot(Op->getOperand(0));
-    Slot Ub = assignSlot(Op->getOperand(1));
-    Slot Step = assignSlot(Op->getOperand(2));
     Block *Body = scf::getLoopBody(Op);
-    Slot Iv = assignSlot(Body->getArgument(0));
-    auto BodyProgram = std::make_shared<Program>();
-    if (failed(compileBlock(*Body, *BodyProgram)))
-      return failure();
-    Out.push_back([Lb, Ub, Step, Iv, BodyProgram](Frame &F) {
-      int64_t Hi = F.Ints[Ub.Index], St = F.Ints[Step.Index];
-      for (int64_t I = F.Ints[Lb.Index]; I < Hi; I += St) {
-        ++F.OpCount;
-        F.Ints[Iv.Index] = I;
-        for (const CompiledOp &Fn : *BodyProgram)
-          Fn(F);
-      }
-    });
-    return success();
+    return compileLoop({assignSlot(Body->getArgument(0)).Index,
+                        assignSlot(Op->getOperand(0)).Index,
+                        assignSlot(Op->getOperand(1)).Index,
+                        assignSlot(Op->getOperand(2)).Index},
+                       /*Cost=*/1, [&] { return compileOps(*Body); });
   }
 
-  if (Name == "scf.forall") {
-    std::vector<int64_t> Lbs =
-        Op->getAttrOfType<ArrayAttr>("lowerBound").getAsIntegers();
-    std::vector<int64_t> Ubs =
-        Op->getAttrOfType<ArrayAttr>("upperBound").getAsIntegers();
-    Block *Body = &Op->getRegion(0).front();
-    std::vector<Slot> Ivs;
-    for (Value Arg : Body->getArguments())
-      Ivs.push_back(assignSlot(Arg));
-    auto BodyProgram = std::make_shared<Program>();
-    if (failed(compileBlock(*Body, *BodyProgram)))
-      return failure();
-    Out.push_back([Lbs, Ubs, Ivs, BodyProgram](Frame &F) {
-      std::vector<int64_t> Current = Lbs;
-      while (true) {
-        ++F.OpCount;
-        for (size_t I = 0; I < Ivs.size(); ++I)
-          F.Ints[Ivs[I].Index] = Current[I];
-        for (const CompiledOp &Fn : *BodyProgram)
-          Fn(F);
-        // Odometer increment.
-        size_t D = Current.size();
-        while (D > 0) {
-          --D;
-          if (++Current[D] < Ubs[D])
-            break;
-          if (D == 0)
-            return;
-          Current[D] = Lbs[D];
-        }
-      }
-    });
-    return success();
-  }
+  if (Name == "scf.forall")
+    return compileForall(
+        Op->getRegion(0).front(),
+        Op->getAttrOfType<ArrayAttr>("lowerBound").getAsIntegers(),
+        Op->getAttrOfType<ArrayAttr>("upperBound").getAsIntegers(), 0);
 
   if (Name == "scf.if") {
-    Slot Cond = assignSlot(Op->getOperand(0));
-    auto ThenProgram = std::make_shared<Program>();
-    auto ElseProgram = std::make_shared<Program>();
-    if (!Op->getRegion(0).empty() &&
-        failed(compileBlock(Op->getRegion(0).front(), *ThenProgram)))
-      return failure();
-    if (Op->getNumRegions() > 1 && !Op->getRegion(1).empty() &&
-        failed(compileBlock(Op->getRegion(1).front(), *ElseProgram)))
-      return failure();
-    Out.push_back([Cond, ThenProgram, ElseProgram](Frame &F) {
-      ++F.OpCount;
-      const Program &P = F.Ints[Cond.Index] ? *ThenProgram : *ElseProgram;
-      for (const CompiledOp &Fn : P)
-        Fn(F);
-    });
+    // A counted CondBr into then/else blocks that jump, uncounted, to a join
+    // block; a missing region branches straight to the join.
+    int Branch = Cur, Dests[2] = {-1, -1};
+    std::vector<int> Ends;
+    for (unsigned R = 0; R < 2 && R < Op->getNumRegions(); ++R) {
+      if (Op->getRegion(R).empty())
+        continue;
+      Cur = Dests[R] = newBlock();
+      if (failed(compileOps(Op->getRegion(R).front())))
+        return failure();
+      Ends.push_back(Cur);
+    }
+    Cur = newBlock();
+    for (int End : Ends) {
+      Fn.Blocks[End].Kind = CompiledBlock::Term::Br;
+      Fn.Blocks[End].TrueDest = Cur;
+    }
+    CompiledBlock &Rec = Fn.Blocks[Branch];
+    Rec.Kind = CompiledBlock::Term::CondBr;
+    Rec.Cost = 1;
+    Rec.Cond = assignSlot(Op->getOperand(0)).Index;
+    Rec.TrueDest = Dests[0] < 0 ? Cur : Dests[0];
+    Rec.FalseDest = Dests[1] < 0 ? Cur : Dests[1];
     return success();
   }
 
@@ -697,56 +751,18 @@ LogicalResult FunctionCompiler::compileOp(Operation *Op, Program &Out) {
   //===--------------------------------------------------------------------===//
 
   if (Name == "func.call") {
-    std::string Callee(
-        Op->getAttrOfType<SymbolRefAttr>("callee").getValue());
-    std::vector<Slot> Args;
+    // A call ends its block, so a failing callee stops the dispatch loop
+    // before any later op reads its results.
+    int Next = newBlock();
+    CompiledBlock &Rec = Fn.Blocks[Cur];
+    Rec.Kind = CompiledBlock::Term::Call;
+    Rec.Cost = 1;
+    Rec.Callee = Op->getAttrOfType<SymbolRefAttr>("callee").getValue();
     for (Value Operand : Op->getOperands())
-      Args.push_back(assignSlot(Operand));
-    std::vector<Slot> Results;
+      Rec.Operands.push_back(assignSlot(Operand));
     for (Value Result : Op->getResults())
-      Results.push_back(assignSlot(Result));
-    Executor::Impl *OwnerPtr = &Owner;
-    Out.push_back([OwnerPtr, Callee, Args, Results](Frame &F) {
-      ++F.OpCount;
-      auto FnOrErr = OwnerPtr->compile(Callee);
-      if (failed(FnOrErr))
-        return;
-      std::vector<RuntimeValue> CallArgs;
-      for (Slot S : Args) {
-        switch (S.Kind) {
-        case Slot::Kind::Int:
-          CallArgs.push_back(RuntimeValue::makeInt(F.Ints[S.Index]));
-          break;
-        case Slot::Kind::Float:
-          CallArgs.push_back(RuntimeValue::makeFloat(F.Floats[S.Index]));
-          break;
-        case Slot::Kind::Mem:
-          CallArgs.push_back(RuntimeValue::makeBuffer(F.Bufs[S.Index]));
-          break;
-        }
-      }
-      int64_t Nested = 0;
-      auto ResultsOrErr =
-          OwnerPtr->invoke(**FnOrErr, std::move(CallArgs), Nested);
-      F.OpCount += Nested;
-      if (failed(ResultsOrErr))
-        return;
-      for (size_t I = 0; I < Results.size() && I < ResultsOrErr->size();
-           ++I) {
-        const RuntimeValue &V = (*ResultsOrErr)[I];
-        switch (Results[I].Kind) {
-        case Slot::Kind::Int:
-          F.Ints[Results[I].Index] = V.I;
-          break;
-        case Slot::Kind::Float:
-          F.Floats[Results[I].Index] = V.F;
-          break;
-        case Slot::Kind::Mem:
-          F.Bufs[Results[I].Index] = V.Mem;
-          break;
-        }
-      }
-    });
+      Rec.Results.push_back(assignSlot(Result));
+    Rec.TrueDest = Cur = Next;
     return success();
   }
 
@@ -756,7 +772,7 @@ LogicalResult FunctionCompiler::compileOp(Operation *Op, Program &Out) {
       Operands.push_back(assignSlot(Operand));
     std::vector<int64_t> PrefixCounts =
         Op->getAttrOfType<ArrayAttr>("prefix_counts").getAsIntegers();
-    Out.push_back([Operands, PrefixCounts](Frame &F) {
+    emit([Operands, PrefixCounts](Frame &F) {
       ++F.OpCount;
       Buffer &A = F.Bufs[Operands[0].Index];
       Buffer &B = F.Bufs[Operands[1].Index];
@@ -776,7 +792,6 @@ LogicalResult FunctionCompiler::compileOp(Operation *Op, Program &Out) {
     return success();
   }
 
-  (void)Ctx;
   return Op->emitOpError() << "executor: unsupported operation";
 }
 
@@ -786,21 +801,19 @@ LogicalResult FunctionCompiler::compileOp(Operation *Op, Program &Out) {
 // Executor
 //===----------------------------------------------------------------------===//
 
-FailureOr<std::shared_ptr<CompiledFunction>>
+FailureOr<const CompiledFunction *>
 Executor::Impl::compile(std::string_view Name) {
-  auto It = Cache.find(std::string(Name));
+  auto It = Cache.find(Name);
   if (It != Cache.end())
-    return It->second;
+    return It->second.get();
   Operation *Func = lookupSymbol(Module, Name);
   if (!Func || Func->getName() != "func.func")
     return Module->emitError()
            << "executor: no function '" << Name << "' in the module";
-  FunctionCompiler Compiler(*this, Func);
-  auto Compiled = Compiler.compile();
-  if (failed(Compiled))
+  auto Compiled = std::make_unique<CompiledFunction>();
+  if (failed(FunctionCompiler(Func, *Compiled).compile()))
     return failure();
-  Cache[std::string(Name)] = *Compiled;
-  return *Compiled;
+  return (Cache[std::string(Name)] = std::move(Compiled)).get();
 }
 
 FailureOr<std::vector<RuntimeValue>>
@@ -809,97 +822,82 @@ Executor::Impl::invoke(const CompiledFunction &Fn,
   if (Args.size() != Fn.ArgSlots.size())
     return Module->emitError() << "executor: argument count mismatch";
   Frame F;
-  F.Ints.resize(Fn.NumInts);
-  F.Floats.resize(Fn.NumFloats);
-  F.Bufs.resize(Fn.NumBufs);
-  for (size_t I = 0; I < Args.size(); ++I) {
-    const Slot &S = Fn.ArgSlots[I];
-    switch (S.Kind) {
-    case Slot::Kind::Int:
-      F.Ints[S.Index] = Args[I].I;
-      break;
-    case Slot::Kind::Float:
-      F.Floats[S.Index] = Args[I].F;
-      break;
-    case Slot::Kind::Mem:
-      F.Bufs[S.Index] = Args[I].Mem;
-      break;
+  F.Ints = Fn.IntInit;
+  F.Floats.resize(Fn.NumFloats + Fn.MaxCopies);
+  F.Bufs.resize(Fn.NumBufs + Fn.MaxCopies);
+  for (size_t I = 0; I < Args.size(); ++I)
+    F.set(Fn.ArgSlots[I], Args[I]);
+  // Branch copies have parallel semantics: every edge source is staged in
+  // the frame's scratch slots before any destination block argument is
+  // written.
+  const unsigned ScratchBase[] = {Fn.NumInts, Fn.NumFloats, Fn.NumBufs};
+  auto RunCopies = [&](const std::vector<BranchCopy> &Copies) {
+    for (unsigned I = 0; I < Copies.size(); ++I)
+      F.copy(Copies[I].Src, ScratchBase[int(Copies[I].Src.Kind)] + I);
+    for (unsigned I = 0; I < Copies.size(); ++I) {
+      Slot Dst = Copies[I].Dst;
+      F.copy({Dst.Kind, ScratchBase[int(Dst.Kind)] + I}, Dst.Index);
     }
-  }
-  std::vector<Slot> ResultSlots = Fn.ResultSlots;
-  if (Fn.Blocks.empty()) {
-    for (const CompiledOp &Op : Fn.Body)
+  };
+  // The one dispatch loop: run a block's ops, then its terminator.
+  for (int Current = 0;;) {
+    const CompiledBlock &B = Fn.Blocks[Current];
+    for (const CompiledOp &Op : B.Body)
       Op(F);
-  } else {
-    // CFG dispatch loop. Branch copies have parallel semantics: all edge
-    // sources are read before any destination block argument is written.
-    auto RunCopies = [&F](const std::vector<BranchCopy> &Copies) {
-      std::vector<int64_t> TmpInts(Copies.size());
-      std::vector<double> TmpFloats(Copies.size());
-      std::vector<Buffer> TmpBufs(Copies.size());
-      for (size_t I = 0; I < Copies.size(); ++I) {
-        switch (Copies[I].Src.Kind) {
-        case Slot::Kind::Int:
-          TmpInts[I] = F.Ints[Copies[I].Src.Index];
-          break;
-        case Slot::Kind::Float:
-          TmpFloats[I] = F.Floats[Copies[I].Src.Index];
-          break;
-        case Slot::Kind::Mem:
-          TmpBufs[I] = F.Bufs[Copies[I].Src.Index];
-          break;
-        }
-      }
-      for (size_t I = 0; I < Copies.size(); ++I) {
-        switch (Copies[I].Dst.Kind) {
-        case Slot::Kind::Int:
-          F.Ints[Copies[I].Dst.Index] = TmpInts[I];
-          break;
-        case Slot::Kind::Float:
-          F.Floats[Copies[I].Dst.Index] = TmpFloats[I];
-          break;
-        case Slot::Kind::Mem:
-          F.Bufs[Copies[I].Dst.Index] = std::move(TmpBufs[I]);
-          break;
-        }
-      }
-    };
-    int Current = 0;
-    while (true) {
-      const CompiledBlock &B = Fn.Blocks[Current];
-      for (const CompiledOp &Op : B.Body)
-        Op(F);
-      ++F.OpCount; // the terminator
-      if (B.Kind == CompiledBlock::Term::Return) {
-        ResultSlots = B.ReturnSlots;
-        break;
-      }
-      if (B.Kind == CompiledBlock::Term::Br) {
-        RunCopies(B.TrueCopies);
-        Current = B.TrueDest;
-        continue;
-      }
-      bool Taken = F.Ints[B.Cond.Index] != 0;
+    switch (B.Kind) {
+    case CompiledBlock::Term::Return: {
+      std::vector<RuntimeValue> Results;
+      for (Slot S : B.Operands)
+        Results.push_back(F.get(S));
+      OpCount = F.OpCount + B.Cost;
+      return Results;
+    }
+    case CompiledBlock::Term::Br:
+    case CompiledBlock::Term::CondBr: {
+      F.OpCount += B.Cost;
+      bool Taken = B.Kind == CompiledBlock::Term::Br || F.Ints[B.Cond] != 0;
       RunCopies(Taken ? B.TrueCopies : B.FalseCopies);
       Current = Taken ? B.TrueDest : B.FalseDest;
-    }
-  }
-  std::vector<RuntimeValue> Results;
-  for (const Slot &S : ResultSlots) {
-    switch (S.Kind) {
-    case Slot::Kind::Int:
-      Results.push_back(RuntimeValue::makeInt(F.Ints[S.Index]));
-      break;
-    case Slot::Kind::Float:
-      Results.push_back(RuntimeValue::makeFloat(F.Floats[S.Index]));
-      break;
-    case Slot::Kind::Mem:
-      Results.push_back(RuntimeValue::makeBuffer(F.Bufs[S.Index]));
       break;
     }
+    case CompiledBlock::Term::LoopEnter:
+    case CompiledBlock::Term::LoopNext: {
+      int64_t &Iv = F.Ints[B.Loop.Iv];
+      Iv = B.Kind == CompiledBlock::Term::LoopEnter ? F.Ints[B.Loop.Lb]
+                                                     : Iv + F.Ints[B.Loop.Step];
+      // A one-block body ends in the LoopNext that re-enters it: iterate it
+      // here, which saves structured loops a dispatch per iteration.
+      while (B.TrueDest == Current && Iv < F.Ints[B.Loop.Ub]) {
+        F.OpCount += B.Cost;
+        for (const CompiledOp &Op : B.Body)
+          Op(F);
+        Iv += F.Ints[B.Loop.Step];
+      }
+      bool Enter = Iv < F.Ints[B.Loop.Ub];
+      F.OpCount += Enter ? B.Cost : 0;
+      Current = Enter ? B.TrueDest : B.FalseDest;
+      break;
+    }
+    case CompiledBlock::Term::Call: {
+      F.OpCount += B.Cost;
+      auto Callee = compile(B.Callee);
+      if (failed(Callee))
+        return failure();
+      std::vector<RuntimeValue> CallArgs;
+      for (Slot S : B.Operands)
+        CallArgs.push_back(F.get(S));
+      int64_t Nested = 0;
+      auto Results = invoke(**Callee, std::move(CallArgs), Nested);
+      if (failed(Results))
+        return failure();
+      F.OpCount += Nested;
+      for (size_t I = 0; I < B.Results.size() && I < Results->size(); ++I)
+        F.set(B.Results[I], (*Results)[I]);
+      Current = B.TrueDest;
+      break;
+    }
+    }
   }
-  OpCount = F.OpCount;
-  return Results;
 }
 
 Executor::Executor(Operation *Module) : TheImpl(std::make_unique<Impl>()) {

@@ -5,12 +5,13 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Executes payload IR (func/scf/arith/memref/affine/xsmm) by compiling it
-/// once into nested closures. Loop structure is preserved, so the measured
-/// run time responds to tiling, unrolling, interchange, and microkernel
-/// substitution — the quantities Sections 4.4/4.5 of the paper study. The
-/// `xsmm.matmul` op dispatches to a natively compiled register-blocked
-/// kernel (the LIBXSMM substitute).
+/// Executes payload IR (func/scf/cf/arith/memref/affine/xsmm) by compiling
+/// each function once into a block program that one dispatch loop runs;
+/// `scf` loops and branches compile to blocks too. Loop structure is kept,
+/// so the measured run time responds to tiling, unrolling, interchange, and
+/// microkernel substitution — the quantities Sections 4.4/4.5 of the paper
+/// study. The `xsmm.matmul` op dispatches to a natively compiled
+/// register-blocked kernel (the LIBXSMM substitute).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -53,7 +54,7 @@ struct RuntimeValue {
   static RuntimeValue makeBuffer(Buffer Value);
 };
 
-/// Compiles functions of a payload module to closures and runs them.
+/// Compiles functions of a payload module to block programs and runs them.
 class Executor {
 public:
   explicit Executor(Operation *Module);
@@ -66,8 +67,8 @@ public:
   FailureOr<std::vector<RuntimeValue>> run(std::string_view Name,
                                            std::vector<RuntimeValue> Args);
 
-  /// Ops executed by the last run (closure invocations); a proxy for
-  /// interpretation overhead in the ablation benchmark.
+  /// Ops executed by the last run, loop iterations and branches included; a
+  /// proxy for interpretation overhead in the ablation benchmark.
   int64_t getLastOpCount() const;
 
   struct Impl;

@@ -225,6 +225,286 @@ TEST_F(ExecutorTest, UnsupportedOpIsAnError) {
   EXPECT_TRUE(failed(Exec.run("no_such_function", {})));
 }
 
+TEST_F(ExecutorTest, CallToUncompilableCalleeFails) {
+  // A call whose callee cannot compile fails the whole run; a self-recursive
+  // callee still runs.
+  Ctx.setAllowUnregisteredOps(true);
+  OwningOpRef Module = parseSourceString(Ctx, R"(
+    "builtin.module"() ({
+      "func.func"() ({
+        "weird.op"() : () -> ()
+        "func.return"() : () -> ()
+      }) {sym_name = "bad", function_type = () -> ()} : () -> ()
+      "func.func"() ({
+        %x = "arith.constant"() {value = 2.0 : f64} : () -> (f64)
+        "func.call"() {callee = @bad} : () -> ()
+        "func.return"(%x) : (f64) -> ()
+      }) {sym_name = "calls_bad", function_type = () -> f64} : () -> ()
+      "func.func"() ({
+      ^bb0(%n: index):
+        %zero = "arith.constant"() {value = 0 : index} : () -> (index)
+        %one = "arith.constant"() {value = 1 : index} : () -> (index)
+        %c = "arith.cmpi"(%n, %zero) {predicate = "sgt"}
+          : (index, index) -> (i1)
+        "cf.cond_br"(%c)[^rec, ^base] {true_count = 0 : i64} : (i1) -> ()
+      ^rec:
+        %m = "arith.subi"(%n, %one) : (index, index) -> (index)
+        %r = "func.call"(%m) {callee = @count} : (index) -> (index)
+        %s = "arith.addi"(%r, %one) : (index, index) -> (index)
+        "cf.br"(%s)[^exit] : (index) -> ()
+      ^base:
+        "cf.br"(%zero)[^exit] : (index) -> ()
+      ^exit(%v: index):
+        "func.return"(%v) : (index) -> ()
+      }) {sym_name = "count", function_type = (index) -> index} : () -> ()
+    }) : () -> ()
+  )");
+  ASSERT_TRUE(Module);
+  exec::Executor Exec(Module.get());
+  ScopedDiagnosticCapture Capture(Ctx.getDiagEngine());
+  EXPECT_TRUE(failed(Exec.run("calls_bad", {})));
+  EXPECT_TRUE(Capture.contains("unsupported operation"));
+  auto Result = Exec.run("count", {RuntimeValue::makeInt(5)});
+  ASSERT_TRUE(succeeded(Result));
+  EXPECT_EQ((*Result)[0].I, 5);
+}
+
+TEST_F(ExecutorTest, EmptyForallRunsNoIterations) {
+  // An empty dimension anywhere makes the whole iteration space empty.
+  OwningOpRef Module = parseSourceString(Ctx, R"(
+    "builtin.module"() ({
+      "func.func"() ({
+      ^bb0(%m: memref<2xf64>):
+        %c = "arith.constant"() {value = 7.0 : f64} : () -> (f64)
+        "scf.forall"() ({
+        ^body(%i: index):
+          %v = "memref.load"(%m, %i) : (memref<2xf64>, index) -> (f64)
+          %s = "arith.addf"(%v, %c) : (f64, f64) -> (f64)
+          "memref.store"(%s, %m, %i) : (f64, memref<2xf64>, index) -> ()
+          "scf.yield"() : () -> ()
+        }) {lowerBound = [1 : index], upperBound = [1 : index]} : () -> ()
+        "func.return"() : () -> ()
+      }) {sym_name = "empty1d", function_type = (memref<2xf64>) -> ()}
+        : () -> ()
+      "func.func"() ({
+      ^bb0(%m: memref<2xf64>):
+        %c = "arith.constant"() {value = 7.0 : f64} : () -> (f64)
+        "scf.forall"() ({
+        ^body(%i: index, %j: index):
+          "memref.store"(%c, %m, %i) : (f64, memref<2xf64>, index) -> ()
+          "scf.yield"() : () -> ()
+        }) {lowerBound = [0 : index, 0 : index],
+            upperBound = [2 : index, 0 : index]} : () -> ()
+        "func.return"() : () -> ()
+      }) {sym_name = "empty_inner", function_type = (memref<2xf64>) -> ()}
+        : () -> ()
+    }) : () -> ()
+  )");
+  ASSERT_TRUE(Module);
+  exec::Executor Exec(Module.get());
+  for (const char *Name : {"empty1d", "empty_inner"}) {
+    Buffer M = Buffer::alloc({2});
+    ASSERT_TRUE(succeeded(Exec.run(Name, {RuntimeValue::makeBuffer(M)})));
+    EXPECT_EQ(M.at({0}), 0.0) << Name;
+    EXPECT_EQ(M.at({1}), 0.0) << Name;
+    EXPECT_EQ(Exec.getLastOpCount(), 1) << Name; // just the constant
+  }
+}
+
+TEST_F(ExecutorTest, CopyHonoursViewLayout) {
+  // memref.copy moves the source view's elements into the destination view;
+  // neither base storage changes shape.
+  OwningOpRef Module = parseSourceString(Ctx, R"(
+    "builtin.module"() ({
+      "func.func"() ({
+      ^bb0(%big: memref<4x4xf64>, %small: memref<2x2xf64>):
+        %sv = "memref.subview"(%big) {static_offsets = [1 : index, 1 : index],
+          static_sizes = [2 : index, 2 : index],
+          static_strides = [1 : index, 1 : index]}
+          : (memref<4x4xf64>) -> (memref<2x2xf64, strided<[4, 1], offset: 5>>)
+        "memref.copy"(%sv, %small)
+          : (memref<2x2xf64, strided<[4, 1], offset: 5>>, memref<2x2xf64>) -> ()
+        "func.return"() : () -> ()
+      }) {sym_name = "from_view",
+          function_type = (memref<4x4xf64>, memref<2x2xf64>) -> ()} : () -> ()
+      "func.func"() ({
+      ^bb0(%big: memref<4x4xf64>, %small: memref<2x2xf64>):
+        %sv = "memref.subview"(%big) {static_offsets = [1 : index, 1 : index],
+          static_sizes = [2 : index, 2 : index],
+          static_strides = [1 : index, 1 : index]}
+          : (memref<4x4xf64>) -> (memref<2x2xf64, strided<[4, 1], offset: 5>>)
+        "memref.copy"(%small, %sv)
+          : (memref<2x2xf64>, memref<2x2xf64, strided<[4, 1], offset: 5>>) -> ()
+        "func.return"() : () -> ()
+      }) {sym_name = "into_view",
+          function_type = (memref<4x4xf64>, memref<2x2xf64>) -> ()} : () -> ()
+    }) : () -> ()
+  )");
+  ASSERT_TRUE(Module);
+  exec::Executor Exec(Module.get());
+
+  Buffer Big = Buffer::alloc({4, 4}), Small = Buffer::alloc({2, 2});
+  std::vector<RuntimeValue> Args = {RuntimeValue::makeBuffer(Big),
+                                    RuntimeValue::makeBuffer(Small)};
+  for (int I = 0; I < 16; ++I)
+    (*Big.Data)[I] = I;
+  ASSERT_TRUE(succeeded(Exec.run("from_view", Args)));
+  EXPECT_EQ(*Small.Data, (std::vector<double>{5, 6, 9, 10}));
+
+  *Big.Data = std::vector<double>(16, 0.0);
+  *Small.Data = {1, 2, 3, 4};
+  ASSERT_TRUE(succeeded(Exec.run("into_view", Args)));
+  EXPECT_EQ(*Big.Data, (std::vector<double>{0, 0, 0, 0, //
+                                            0, 1, 2, 0, //
+                                            0, 3, 4, 0, //
+                                            0, 0, 0, 0}));
+}
+
+TEST_F(ExecutorTest, ExecutedOpCountsArePinned) {
+  // getLastOpCount() is an autotuning objective, so its accounting is part
+  // of the interface: every payload op counts 1, a structured-loop iteration
+  // counts 1, scf.if counts 1, and every cf.* terminator and multi-block
+  // func.return counts 1. A single-block func.return counts 0.
+  OwningOpRef Module = parseSourceString(Ctx, R"(
+    "builtin.module"() ({
+      "func.func"() ({
+      ^bb0(%m: memref<8xf64>):
+        %lb = "arith.constant"() {value = 0 : index} : () -> (index)
+        %ub = "arith.constant"() {value = 5 : index} : () -> (index)
+        %one = "arith.constant"() {value = 1 : index} : () -> (index)
+        "scf.for"(%lb, %ub, %one) ({
+        ^body(%i: index):
+          %v = "memref.load"(%m, %i) : (memref<8xf64>, index) -> (f64)
+          "memref.store"(%v, %m, %i) : (f64, memref<8xf64>, index) -> ()
+          "scf.yield"() : () -> ()
+        }) : (index, index, index) -> ()
+        "func.return"() : () -> ()
+      }) {sym_name = "for", function_type = (memref<8xf64>) -> ()} : () -> ()
+      "func.func"() ({
+      ^bb0(%m: memref<4x4xf64>):
+        %zero = "arith.constant"() {value = 0 : index} : () -> (index)
+        %three = "arith.constant"() {value = 3 : index} : () -> (index)
+        %four = "arith.constant"() {value = 4 : index} : () -> (index)
+        %one = "arith.constant"() {value = 1 : index} : () -> (index)
+        "scf.for"(%zero, %three, %one) ({
+        ^bi(%i: index):
+          "scf.for"(%zero, %four, %one) ({
+          ^bj(%j: index):
+            %v = "memref.load"(%m, %i, %j) : (memref<4x4xf64>, index, index) -> (f64)
+            "memref.store"(%v, %m, %i, %j) : (f64, memref<4x4xf64>, index, index) -> ()
+            "scf.yield"() : () -> ()
+          }) : (index, index, index) -> ()
+          "scf.yield"() : () -> ()
+        }) : (index, index, index) -> ()
+        "func.return"() : () -> ()
+      }) {sym_name = "nested_for", function_type = (memref<4x4xf64>) -> ()}
+        : () -> ()
+      "func.func"() ({
+      ^bb0(%a: index, %out: memref<1xf64>):
+        %zero = "arith.constant"() {value = 0 : index} : () -> (index)
+        %cmp = "arith.cmpi"(%a, %zero) {predicate = "sgt"}
+          : (index, index) -> (i1)
+        %pos = "arith.constant"() {value = 1.0 : f64} : () -> (f64)
+        "scf.if"(%cmp) ({
+          "memref.store"(%pos, %out, %zero) : (f64, memref<1xf64>, index) -> ()
+          "scf.yield"() : () -> ()
+        }, {
+          %neg = "arith.subf"(%pos, %pos) : (f64, f64) -> (f64)
+          "memref.store"(%neg, %out, %zero) : (f64, memref<1xf64>, index) -> ()
+          "scf.yield"() : () -> ()
+        }) : (i1) -> ()
+        "func.return"() : () -> ()
+      }) {sym_name = "if", function_type = (index, memref<1xf64>) -> ()}
+        : () -> ()
+      "func.func"() ({
+      ^bb0(%m: memref<2x3xf64>):
+        %c = "arith.constant"() {value = 1.0 : f64} : () -> (f64)
+        "scf.forall"() ({
+        ^body(%i: index, %j: index):
+          "memref.store"(%c, %m, %i, %j) : (f64, memref<2x3xf64>, index, index) -> ()
+          "scf.yield"() : () -> ()
+        }) {lowerBound = [0 : index, 0 : index],
+            upperBound = [2 : index, 3 : index]} : () -> ()
+        "func.return"() : () -> ()
+      }) {sym_name = "forall", function_type = (memref<2x3xf64>) -> ()}
+        : () -> ()
+      "func.func"() ({
+      ^bb0(%x: f64):
+        %p = "arith.mulf"(%x, %x) : (f64, f64) -> (f64)
+        %s = "arith.addf"(%p, %x) : (f64, f64) -> (f64)
+        "func.return"(%s) : (f64) -> ()
+      }) {sym_name = "straight", function_type = (f64) -> f64} : () -> ()
+      "func.func"() ({
+      ^bb0(%n: index):
+        %zero = "arith.constant"() {value = 0 : index} : () -> (index)
+        %one = "arith.constant"() {value = 1 : index} : () -> (index)
+        "cf.br"(%zero)[^loop] : (index) -> ()
+      ^loop(%i: index):
+        %c = "arith.cmpi"(%i, %n) {predicate = "slt"} : (index, index) -> (i1)
+        %next = "arith.addi"(%i, %one) : (index, index) -> (index)
+        "cf.cond_br"(%c, %next, %i)[^loop, ^exit] {true_count = 1 : i64}
+          : (i1, index, index) -> ()
+      ^exit(%r: index):
+        "func.return"(%r) : (index) -> ()
+      }) {sym_name = "cfg", function_type = (index) -> index} : () -> ()
+      "func.func"() ({
+      ^bb0(%x: f64):
+        %two = "arith.constant"() {value = 2.0 : f64} : () -> (f64)
+        %d = "arith.mulf"(%x, %two) : (f64, f64) -> (f64)
+        "func.return"(%d) : (f64) -> ()
+      }) {sym_name = "double", function_type = (f64) -> f64} : () -> ()
+      "func.func"() ({
+      ^bb0(%x: f64):
+        %a = "func.call"(%x) {callee = @double} : (f64) -> (f64)
+        %b = "func.call"(%a) {callee = @double} : (f64) -> (f64)
+        "func.return"(%b) : (f64) -> ()
+      }) {sym_name = "call", function_type = (f64) -> f64} : () -> ()
+      "func.func"() ({
+      ^bb0(%m: memref<8xf64>):
+        %lb = "arith.constant"() {value = 0 : index} : () -> (index)
+        %ub = "arith.constant"() {value = 4 : index} : () -> (index)
+        %one = "arith.constant"() {value = 1 : index} : () -> (index)
+        "scf.for"(%lb, %ub, %one) ({
+        ^body(%i: index):
+          %v = "memref.load"(%m, %i) : (memref<8xf64>, index) -> (f64)
+          "memref.store"(%v, %m, %i) : (f64, memref<8xf64>, index) -> ()
+          "scf.yield"() : () -> ()
+        }) : (index, index, index) -> ()
+        "cf.br"()[^exit] : () -> ()
+      ^exit:
+        "func.return"() : () -> ()
+      }) {sym_name = "for_in_cfg", function_type = (memref<8xf64>) -> ()}
+        : () -> ()
+    }) : () -> ()
+  )");
+  ASSERT_TRUE(Module);
+  ASSERT_TRUE(succeeded(verify(Module.get())));
+  exec::Executor Exec(Module.get());
+  auto Mem = [](std::vector<int64_t> Shape) {
+    return RuntimeValue::makeBuffer(Buffer::alloc(Shape));
+  };
+  struct Case {
+    const char *Name;
+    std::vector<RuntimeValue> Args;
+    int64_t Expected;
+  };
+  const Case Cases[] = {
+      {"for", {Mem({8})}, 18},
+      {"nested_for", {Mem({4, 4})}, 43},
+      {"if", {RuntimeValue::makeInt(1), Mem({1})}, 5},
+      {"if", {RuntimeValue::makeInt(-1), Mem({1})}, 6},
+      {"forall", {Mem({2, 3})}, 13},
+      {"straight", {RuntimeValue::makeFloat(2.0)}, 2},
+      {"cfg", {RuntimeValue::makeInt(3)}, 16},
+      {"call", {RuntimeValue::makeFloat(1.0)}, 6},
+      {"for_in_cfg", {Mem({8})}, 17},
+  };
+  for (const Case &C : Cases) {
+    ASSERT_TRUE(succeeded(Exec.run(C.Name, C.Args))) << C.Name;
+    EXPECT_EQ(Exec.getLastOpCount(), C.Expected) << C.Name;
+  }
+}
+
 //===----------------------------------------------------------------------===//
 // CFG form: cf.br / cf.cond_br with block arguments
 //===----------------------------------------------------------------------===//
