@@ -10,8 +10,8 @@
 /// a best-known configuration; this store keeps those configurations on
 /// disk, keyed by
 ///
-///   (payload FNV-1a fingerprint, target, strategy-library content hash,
-///    hardware id)
+///   (payload structural fingerprint, target, strategy-library content
+///    hash, hardware id)
 ///
 /// so a later process — on this machine or, after a merge, on another —
 /// warm-starts instead of re-searching. The strategy-library content hash
@@ -84,7 +84,10 @@ struct TuningRecord {
 /// snapshots and offline merge(), not through locking.
 class TuningDB {
 public:
-  static constexpr uint64_t FormatVersion = 1;
+  /// Version 2: the payload fingerprint is hashOperationStructure() (a
+  /// structural hash) instead of FNV-1a over the printed payload; version-1
+  /// keys can never match, so a version-1 file loads as empty.
+  static constexpr uint64_t FormatVersion = 2;
 
   /// The machine identity baked into every key: `TDL_HARDWARE_ID` when set
   /// (tests and fleet configuration), else `<arch>-<ncores>c` from uname

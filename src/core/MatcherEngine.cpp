@@ -6,17 +6,15 @@
 
 #include "core/MatcherEngine.h"
 
+#include "core/ShardPool.h"
 #include "core/TransformLibrary.h"
 #include "ir/SymbolTable.h"
 #include "support/Telemetry.h"
 
 #include <algorithm>
 #include <atomic>
-#include <condition_variable>
 #include <memory>
-#include <mutex>
 #include <set>
-#include <thread>
 #include <unordered_set>
 #include <utility>
 
@@ -84,132 +82,6 @@ MatchDiag &MatchDiag::text(std::string_view Detail) {
   Message += Detail;
   return *this;
 }
-
-//===----------------------------------------------------------------------===//
-// Shard pool
-//===----------------------------------------------------------------------===//
-
-namespace {
-
-/// Set on pool threads for their lifetime and on a caller while it drives
-/// the pool: a sharded run started from either runs inline instead of
-/// waiting on helpers that are (or may be) busy with its own caller.
-thread_local bool InsideShardRun = false;
-
-/// The process-wide fork/join pool behind both sharded engine phases (the
-/// match walk and the commit waves). Helper threads are created lazily, up
-/// to the largest worker count ever requested minus one, and park on a
-/// condition variable between runs; the calling thread is always worker 0.
-/// Workers claim their items from a shared counter (see the two call
-/// sites), so a helper that wakes late simply takes fewer items — and one
-/// that has not woken by the time the caller is done is cancelled and its
-/// (by then empty-handed) worker body runs on the caller instead.
-class ShardPool {
-public:
-  static ShardPool &instance() {
-    // Leaked: parked helpers must never see the pool destroyed at exit.
-    static ShardPool *Pool = new ShardPool;
-    return *Pool;
-  }
-
-  /// Calls \p Body(W) exactly once for every W in [0, NumWorkers) and
-  /// returns when all calls have returned. Body(0) runs on the calling
-  /// thread. When the pool is already driven by another thread, or the
-  /// caller is itself inside a sharded run, every call runs inline, in
-  /// worker order.
-  void run(unsigned NumWorkers, const std::function<void(unsigned)> &Body) {
-    if (NumWorkers <= 1 || InsideShardRun ||
-        Busy.exchange(true, std::memory_order_acquire)) {
-      for (unsigned W = 0; W < NumWorkers; ++W)
-        Body(W);
-      return;
-    }
-    InsideShardRun = true;
-    unsigned NumHelpers = NumWorkers - 1;
-    std::vector<Helper *> Assigned;
-    {
-      std::lock_guard<std::mutex> Lock(Mu);
-      while (Helpers.size() < NumHelpers)
-        spawnHelper();
-      Job = &Body;
-      for (unsigned H = 0; H < NumHelpers; ++H) {
-        Helpers[H]->Assigned = true;
-        Assigned.push_back(Helpers[H].get());
-      }
-      ++Generation;
-    }
-    Wake.notify_all();
-
-    Body(0);
-
-    // Cancel the helpers that have not picked up their worker yet and run
-    // those workers here; then wait for the ones already running.
-    std::vector<unsigned> Cancelled;
-    {
-      std::lock_guard<std::mutex> Lock(Mu);
-      for (unsigned H = 0; H < NumHelpers; ++H)
-        if (std::exchange(Assigned[H]->Assigned, false))
-          Cancelled.push_back(H + 1);
-    }
-    for (unsigned W : Cancelled)
-      Body(W);
-    {
-      std::unique_lock<std::mutex> Lock(Mu);
-      Done.wait(Lock, [&] { return Running == 0; });
-      Job = nullptr;
-    }
-    InsideShardRun = false;
-    Busy.store(false, std::memory_order_release);
-  }
-
-private:
-  struct Helper {
-    unsigned Worker = 0;   ///< The worker index this helper runs.
-    bool Assigned = false; ///< Guarded by Mu.
-  };
-
-  /// Requires Mu. Helpers are detached: they park for the process lifetime.
-  void spawnHelper() {
-    static telemetry::Counter &ThreadsStarted =
-        telemetry::counter("engine.worker_threads_started");
-    ThreadsStarted.add();
-    Helpers.push_back(std::make_unique<Helper>());
-    Helper *Self = Helpers.back().get();
-    Self->Worker = static_cast<unsigned>(Helpers.size());
-    std::thread([this, Self, Seen = Generation] {
-      helperLoop(*Self, Seen);
-    }).detach();
-  }
-
-  void helperLoop(Helper &Self, uint64_t Seen) {
-    InsideShardRun = true;
-    std::unique_lock<std::mutex> Lock(Mu);
-    for (;;) {
-      Wake.wait(Lock, [&] { return Generation != Seen; });
-      Seen = Generation;
-      if (!std::exchange(Self.Assigned, false))
-        continue; // Not needed this run, or cancelled before waking.
-      ++Running;
-      const std::function<void(unsigned)> &Body = *Job;
-      Lock.unlock();
-      Body(Self.Worker);
-      Lock.lock();
-      if (--Running == 0)
-        Done.notify_one();
-    }
-  }
-
-  std::atomic<bool> Busy{false};
-  std::mutex Mu;
-  std::condition_variable Wake, Done;
-  // Everything below is guarded by Mu.
-  std::vector<std::unique_ptr<Helper>> Helpers;
-  const std::function<void(unsigned)> *Job = nullptr;
-  uint64_t Generation = 0;
-  unsigned Running = 0;
-};
-
-} // namespace
 
 //===----------------------------------------------------------------------===//
 // Pair registration

@@ -63,9 +63,10 @@ class raw_ostream;
 // Linked-scope lookup (consulted by resolveTransformSequence)
 //===----------------------------------------------------------------------===//
 
-/// FNV-1a over \p Content: cheap, deterministic content hashing shared by
-/// the library manager's reload detection and the strategy dispatcher's
-/// payload fingerprints (one scheme, so the two caches can never diverge).
+/// FNV-1a over \p Content: cheap, deterministic content hashing for the
+/// library manager's reload detection and the library-edition component of
+/// tuning-database keys. (Payloads are fingerprinted structurally, by
+/// hashOperationStructure in ir/IR.h.)
 uint64_t hashContent(std::string_view Content);
 
 /// Resolves \p Name among the library symbols linked into \p ScriptRoot's

@@ -259,17 +259,21 @@ LogicalResult Session::runPayload() {
       ES << "error: cannot read '" << Options.PayloadPath << "'\n";
       return failure();
     }
-    Report.PayloadFingerprint = hexString(hashContent(PayloadText));
     Payload = parseSourceString(Ctx, PayloadText, Options.PayloadPath);
     if (!Payload)
       return failure();
   }
+  // The structural hash the strategy manager keys selection and the tuning
+  // database by, so a report joins to the `.tdb` record its dispatch used.
+  uint64_t PayloadFp = hashOperationStructure(Payload.get());
+  Report.PayloadFingerprint = hexString(PayloadFp);
 
   // The dump runs after the tuning database is attached and the payload is
   // parsed, so each strategy can report its per-payload database status.
   if (Options.DumpStrategies)
-    Strategies.dumpStrategies(
-        OS, Strategies.getTuningDB() ? Payload.get() : nullptr);
+    Strategies.dumpStrategies(OS, Strategies.getTuningDB()
+                                      ? std::optional<uint64_t>(PayloadFp)
+                                      : std::nullopt);
 
   if (!Options.CheckPipeline.empty()) {
     PhaseTimer Phase(Report, "check");

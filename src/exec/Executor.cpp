@@ -507,19 +507,40 @@ LogicalResult FunctionCompiler::compileOp(Operation *Op) {
   }
 
   if (Name == "arith.cmpi") {
+    // Decoded once here. The unsigned predicates compare the 64-bit
+    // two's-complement patterns, which also orders sign-extended narrower
+    // integers correctly.
+    enum class Pred { Eq, Ne, Slt, Sle, Sgt, Sge, Ult, Ule, Ugt, Uge };
+    static const std::map<std::string_view, Pred> Predicates = {
+        {"eq", Pred::Eq},   {"ne", Pred::Ne},   {"slt", Pred::Slt},
+        {"sle", Pred::Sle}, {"sgt", Pred::Sgt}, {"sge", Pred::Sge},
+        {"ult", Pred::Ult}, {"ule", Pred::Ule}, {"ugt", Pred::Ugt},
+        {"uge", Pred::Uge}};
+    std::string_view Spelled = Op->getStringAttr("predicate");
+    auto It = Predicates.find(Spelled);
+    if (It == Predicates.end())
+      return Op->emitOpError()
+             << "executor: unknown cmpi predicate '" << Spelled << "'";
+    Pred P = It->second;
     Slot L = assignSlot(Op->getOperand(0)), R = assignSlot(Op->getOperand(1));
     Slot Dst = assignSlot(Op->getResult(0));
-    std::string Pred(Op->getStringAttr("predicate"));
-    emit([L, R, Dst, Pred](Frame &F) {
+    emit([L, R, Dst, P](Frame &F) {
       ++F.OpCount;
       int64_t A = F.Ints[L.Index], B = F.Ints[R.Index];
+      uint64_t UA = static_cast<uint64_t>(A), UB = static_cast<uint64_t>(B);
       bool V = false;
-      if (Pred == "eq") V = A == B;
-      else if (Pred == "ne") V = A != B;
-      else if (Pred == "slt") V = A < B;
-      else if (Pred == "sle") V = A <= B;
-      else if (Pred == "sgt") V = A > B;
-      else if (Pred == "sge") V = A >= B;
+      switch (P) {
+      case Pred::Eq: V = A == B; break;
+      case Pred::Ne: V = A != B; break;
+      case Pred::Slt: V = A < B; break;
+      case Pred::Sle: V = A <= B; break;
+      case Pred::Sgt: V = A > B; break;
+      case Pred::Sge: V = A >= B; break;
+      case Pred::Ult: V = UA < UB; break;
+      case Pred::Ule: V = UA <= UB; break;
+      case Pred::Ugt: V = UA > UB; break;
+      case Pred::Uge: V = UA >= UB; break;
+      }
       F.Ints[Dst.Index] = V;
     });
     return success();

@@ -7,6 +7,7 @@
 #include "ir/Affine.h"
 
 #include "ir/Context.h"
+#include "support/Hashing.h"
 #include "support/Stream.h"
 
 #include <memory>
@@ -34,6 +35,7 @@ int64_t AffineExpr::getValue() const {
 
 AffineExpr AffineExpr::getLHS() const { return Impl->Lhs; }
 AffineExpr AffineExpr::getRHS() const { return Impl->Rhs; }
+uint64_t AffineExpr::getHash() const { return Impl->Hash; }
 
 //===----------------------------------------------------------------------===//
 // Construction with simplification
@@ -49,6 +51,13 @@ static AffineExpr uniqueExpr(Context &Ctx, AffineExprStorage Proto) {
   return AffineExpr(Ctx.uniqueAffineExpr(Buffer, [&] {
     auto Storage = std::make_unique<AffineExprStorage>(Proto);
     Storage->Ctx = &Ctx;
+    StableHasher H;
+    H.add(0x6166650000000000ull | static_cast<uint64_t>(Proto.Kind)) // "afe"
+        .add(static_cast<uint64_t>(Proto.Value))
+        .add(Proto.Position)
+        .add(Proto.Lhs ? Proto.Lhs.getHash() : 0)
+        .add(Proto.Rhs ? Proto.Rhs.getHash() : 0);
+    Storage->Hash = H.get();
     return Storage;
   }));
 }
@@ -300,6 +309,14 @@ AffineMap AffineMap::get(Context &Ctx, unsigned NumDims, unsigned NumSymbols,
     Storage->Ctx = &Ctx;
     Storage->NumDims = NumDims;
     Storage->NumSymbols = NumSymbols;
+    StableHasher H;
+    H.add(0x61666d0000000000ull) // "afm"
+        .add(NumDims)
+        .add(NumSymbols)
+        .add(Results.size());
+    for (AffineExpr Expr : Results)
+      H.add(Expr.getHash());
+    Storage->Hash = H.get();
     Storage->Results = std::move(Results);
     return Storage;
   }));
@@ -322,6 +339,7 @@ AffineExpr AffineMap::getResult(unsigned Idx) const {
 }
 unsigned AffineMap::getNumResults() const { return Impl->Results.size(); }
 Context *AffineMap::getContext() const { return Impl->Ctx; }
+uint64_t AffineMap::getHash() const { return Impl->Hash; }
 
 std::vector<int64_t>
 AffineMap::evaluate(const std::vector<int64_t> &Operands) const {

@@ -85,6 +85,9 @@ public:
   void print(raw_ostream &OS) const;
   std::string str() const;
 
+  /// Structural hash, equal for equal expressions in any Context and build.
+  uint64_t getHash() const;
+
   const AffineExprStorage *getImpl() const { return Impl; }
 
 private:
@@ -128,6 +131,9 @@ public:
   void print(raw_ostream &OS) const;
   std::string str() const;
 
+  /// Structural hash, equal for equal maps in any Context and build.
+  uint64_t getHash() const;
+
   const AffineMapStorage *getImpl() const { return Impl; }
 
 private:
@@ -145,6 +151,9 @@ inline raw_ostream &operator<<(raw_ostream &OS, AffineMap Map) {
 
 /// Storage definitions. Exposed in the header only so the Context can own
 /// uniquing pools of complete types; do not use directly.
+/// Hash is the stable structural hash (kind, leaf value or position,
+/// operand hashes; AffineExprKind values feed it, so append new kinds, never
+/// reorder), set once when the uniquer creates the storage.
 struct AffineExprStorage {
   AffineExprKind Kind = AffineExprKind::Constant;
   Context *Ctx = nullptr;
@@ -152,6 +161,7 @@ struct AffineExprStorage {
   unsigned Position = 0; // DimId / SymbolId
   AffineExpr Lhs;
   AffineExpr Rhs;
+  uint64_t Hash = 0;
 };
 
 struct AffineMapStorage {
@@ -159,6 +169,7 @@ struct AffineMapStorage {
   unsigned NumDims = 0;
   unsigned NumSymbols = 0;
   std::vector<AffineExpr> Results;
+  uint64_t Hash = 0;
 };
 
 } // namespace tdl

@@ -7,6 +7,7 @@
 #include "ir/Attributes.h"
 
 #include "ir/Context.h"
+#include "support/Hashing.h"
 #include "support/Stream.h"
 
 #include <memory>
@@ -19,51 +20,82 @@ using namespace tdl;
 
 namespace {
 
+/// Every attribute hash starts from the attribute domain tag and the kind.
+StableHasher attrHasher(AttrStorage::Kind K) {
+  StableHasher H;
+  H.add(0x6174720000000000ull | static_cast<uint64_t>(K)); // "atr"
+  return H;
+}
+
 struct SimpleAttrStorage : AttrStorage {
-  using AttrStorage::AttrStorage;
+  SimpleAttrStorage(Kind K, Context *Ctx) : AttrStorage(K, Ctx) {
+    Hash = attrHasher(K).get();
+  }
 };
 
 struct BoolAttrStorage : AttrStorage {
   BoolAttrStorage(Context *Ctx, bool Value)
-      : AttrStorage(Kind::Bool, Ctx), Value(Value) {}
+      : AttrStorage(Kind::Bool, Ctx), Value(Value) {
+    Hash = attrHasher(Kind::Bool).add(Value).get();
+  }
   bool Value;
 };
 
 struct IntegerAttrStorage : AttrStorage {
   IntegerAttrStorage(Context *Ctx, int64_t Value, Type Ty)
-      : AttrStorage(Kind::Integer, Ctx), Value(Value), Ty(Ty) {}
+      : AttrStorage(Kind::Integer, Ctx), Value(Value), Ty(Ty) {
+    Hash = attrHasher(Kind::Integer)
+               .add(static_cast<uint64_t>(Value))
+               .add(Ty.getHash())
+               .get();
+  }
   int64_t Value;
   Type Ty;
 };
 
 struct FloatAttrStorage : AttrStorage {
   FloatAttrStorage(Context *Ctx, double Value, Type Ty)
-      : AttrStorage(Kind::Float, Ctx), Value(Value), Ty(Ty) {}
+      : AttrStorage(Kind::Float, Ctx), Value(Value), Ty(Ty) {
+    Hash =
+        attrHasher(Kind::Float).add(doubleBits(Value)).add(Ty.getHash()).get();
+  }
   double Value;
   Type Ty;
 };
 
 struct StringAttrStorage : AttrStorage {
   StringAttrStorage(Context *Ctx, Kind K, std::string Value)
-      : AttrStorage(K, Ctx), Value(std::move(Value)) {}
+      : AttrStorage(K, Ctx), Value(std::move(Value)) {
+    Hash = attrHasher(K).addBytes(this->Value).get();
+  }
   std::string Value;
 };
 
 struct ArrayAttrStorage : AttrStorage {
   ArrayAttrStorage(Context *Ctx, std::vector<Attribute> Elements)
-      : AttrStorage(Kind::Array, Ctx), Elements(std::move(Elements)) {}
+      : AttrStorage(Kind::Array, Ctx), Elements(std::move(Elements)) {
+    StableHasher H = attrHasher(Kind::Array);
+    H.add(this->Elements.size());
+    for (Attribute Element : this->Elements)
+      H.add(Element.getHash());
+    Hash = H.get();
+  }
   std::vector<Attribute> Elements;
 };
 
 struct TypeAttrStorage : AttrStorage {
   TypeAttrStorage(Context *Ctx, Type Value)
-      : AttrStorage(Kind::Type, Ctx), Value(Value) {}
+      : AttrStorage(Kind::Type, Ctx), Value(Value) {
+    Hash = attrHasher(Kind::Type).add(Value.getHash()).get();
+  }
   Type Value;
 };
 
 struct AffineMapAttrStorage : AttrStorage {
   AffineMapAttrStorage(Context *Ctx, AffineMap Value)
-      : AttrStorage(Kind::AffineMap, Ctx), Value(Value) {}
+      : AttrStorage(Kind::AffineMap, Ctx), Value(Value) {
+    Hash = attrHasher(Kind::AffineMap).add(Value.getHash()).get();
+  }
   AffineMap Value;
 };
 
@@ -71,7 +103,13 @@ struct DenseElementsAttrStorage : AttrStorage {
   DenseElementsAttrStorage(Context *Ctx, TensorType Ty,
                            std::vector<double> Values, bool IsSplat)
       : AttrStorage(Kind::DenseElements, Ctx), Ty(Ty),
-        Values(std::move(Values)), IsSplat(IsSplat) {}
+        Values(std::move(Values)), IsSplat(IsSplat) {
+    StableHasher H = attrHasher(Kind::DenseElements);
+    H.add(Ty.getHash()).add(IsSplat).add(this->Values.size());
+    for (double Element : this->Values)
+      H.add(doubleBits(Element));
+    Hash = H.get();
+  }
   TensorType Ty;
   std::vector<double> Values;
   bool IsSplat;

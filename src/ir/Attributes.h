@@ -29,6 +29,8 @@ class Context;
 class raw_ostream;
 
 struct AttrStorage {
+  /// The kind values feed Hash, which persists in tuning-database keys:
+  /// append new kinds, never reorder.
   enum class Kind : uint8_t {
     Unit,
     Bool,
@@ -47,6 +49,10 @@ struct AttrStorage {
 
   Kind AttrKind;
   Context *Ctx;
+  /// Stable structural hash of the kind and parameters (nested types,
+  /// attributes and maps by their own hash, never by address), set once by
+  /// the storage constructor — that is, only when the uniquer creates it.
+  uint64_t Hash = 0;
 };
 
 /// Value handle for a uniqued attribute.
@@ -80,6 +86,13 @@ public:
 
   void print(raw_ostream &OS) const;
   std::string str() const;
+
+  /// Structural hash, equal for equal attributes in any Context and any
+  /// build.
+  uint64_t getHash() const {
+    assert(Impl && "null attribute");
+    return Impl->Hash;
+  }
 
   const AttrStorage *getImpl() const { return Impl; }
 

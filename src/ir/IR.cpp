@@ -6,8 +6,11 @@
 
 #include "ir/IR.h"
 
+#include "support/Hashing.h"
+
 #include <algorithm>
 #include <set>
+#include <unordered_map>
 
 using namespace tdl;
 
@@ -605,4 +608,79 @@ void Region::dropAllReferences() {
   for (auto &B : Blocks)
     for (Operation *Op : B->Ops)
       Op->dropAllReferences(/*Recursive=*/true);
+}
+
+//===----------------------------------------------------------------------===//
+// Structural hash
+//===----------------------------------------------------------------------===//
+
+namespace {
+
+/// One pre-order walk feeding a StableHasher. Values and blocks get dense
+/// numbers on first appearance; their addresses only key the numbering and
+/// never reach the hash.
+class StructureHasher {
+public:
+  uint64_t run(Operation *Root) {
+    hashOp(Root);
+    return H.get();
+  }
+
+private:
+  uint32_t number(const void *Key, uint32_t &Next) {
+    auto [It, Inserted] = Numbers.try_emplace(Key, Next);
+    if (Inserted)
+      ++Next;
+    return It->second;
+  }
+  uint32_t valueNumber(Value V) { return number(V.getImpl(), NextValue); }
+  uint32_t blockNumber(Block *B) { return number(B, NextBlock); }
+
+  void hashOp(Operation *Op) {
+    H.addBytes(Op->getName());
+    H.add(Op->getNumResults());
+    for (unsigned I = 0; I < Op->getNumResults(); ++I) {
+      Value Result = Op->getResult(I);
+      H.add(valueNumber(Result)).add(Result.getType().getHash());
+    }
+    H.add(Op->getNumOperands());
+    for (unsigned I = 0; I < Op->getNumOperands(); ++I)
+      H.add(valueNumber(Op->getOperand(I)));
+    H.add(Op->getNumSuccessors());
+    for (unsigned I = 0; I < Op->getNumSuccessors(); ++I)
+      H.add(blockNumber(Op->getSuccessor(I)));
+    H.add(Op->getAttrs().size());
+    for (const NamedAttribute &Attr : Op->getAttrs())
+      H.addBytes(Attr.Name).add(Attr.Value.getHash());
+    H.add(Op->getNumRegions());
+    for (unsigned R = 0; R < Op->getNumRegions(); ++R) {
+      Region &Body = Op->getRegion(R);
+      H.add(Body.getNumBlocks());
+      // Number the region's blocks up front, as the printer does, so a
+      // forward successor reference gets the same number as its block.
+      for (Block &B : Body)
+        (void)blockNumber(&B);
+      for (Block &B : Body) {
+        H.add(blockNumber(&B)).add(B.getNumArguments());
+        for (unsigned A = 0; A < B.getNumArguments(); ++A) {
+          Value Arg = B.getArgument(A);
+          H.add(valueNumber(Arg)).add(Arg.getType().getHash());
+        }
+        H.add(B.size());
+        for (Operation *Nested : B)
+          hashOp(Nested);
+      }
+    }
+  }
+
+  StableHasher H;
+  std::unordered_map<const void *, uint32_t> Numbers;
+  uint32_t NextValue = 0;
+  uint32_t NextBlock = 0;
+};
+
+} // namespace
+
+uint64_t tdl::hashOperationStructure(Operation *Op) {
+  return StructureHasher().run(Op);
 }

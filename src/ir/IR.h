@@ -468,6 +468,22 @@ private:
 };
 
 //===----------------------------------------------------------------------===//
+// Structural hash
+//===----------------------------------------------------------------------===//
+
+/// A stable 64-bit hash of \p Op and everything nested in it, walked once in
+/// pre-order. Per op it covers the op name, the attributes in printed order
+/// (name plus storage hash), the result types, the successors, the region /
+/// block / block-argument shape, and every operand as the def-use edge it
+/// names: values and blocks are numbered by first appearance, as the printer
+/// numbers `%N` and `^bbN`. Locations, SSA names, whitespace and comments do
+/// not contribute, so two payloads hash equal exactly when their printed
+/// forms agree (up to hash collisions) — parsed in any Context, by any build.
+/// The value keys the strategy selection cache, the tuning database and the
+/// run report's payload fingerprint.
+uint64_t hashOperationStructure(Operation *Op);
+
+//===----------------------------------------------------------------------===//
 // OwningOpRef
 //===----------------------------------------------------------------------===//
 

@@ -7,6 +7,7 @@
 #include "ir/TypeSystem.h"
 
 #include "ir/Context.h"
+#include "support/Hashing.h"
 #include "support/Stream.h"
 
 #include <memory>
@@ -19,13 +20,37 @@ using namespace tdl;
 
 namespace {
 
+/// Every type hash starts from the type domain tag and the kind, so a type
+/// never collides with an attribute or affine storage of equal parameters.
+StableHasher typeHasher(TypeStorage::Kind K) {
+  StableHasher H;
+  H.add(0x7479700000000000ull | static_cast<uint64_t>(K)); // "typ"
+  return H;
+}
+
+void addInts(StableHasher &H, const std::vector<int64_t> &Values) {
+  H.add(Values.size());
+  for (int64_t Value : Values)
+    H.add(static_cast<uint64_t>(Value));
+}
+
+void addTypes(StableHasher &H, const std::vector<Type> &Types) {
+  H.add(Types.size());
+  for (Type Ty : Types)
+    H.add(Ty.getHash());
+}
+
 struct SimpleTypeStorage : TypeStorage {
-  using TypeStorage::TypeStorage;
+  SimpleTypeStorage(Kind K, Context *Ctx) : TypeStorage(K, Ctx) {
+    Hash = typeHasher(K).get();
+  }
 };
 
 struct IntWidthTypeStorage : TypeStorage {
   IntWidthTypeStorage(Kind K, Context *Ctx, unsigned Width)
-      : TypeStorage(K, Ctx), Width(Width) {}
+      : TypeStorage(K, Ctx), Width(Width) {
+    Hash = typeHasher(K).add(Width).get();
+  }
   unsigned Width;
 };
 
@@ -33,7 +58,15 @@ struct ShapedTypeStorage : TypeStorage {
   ShapedTypeStorage(Kind K, Context *Ctx, std::vector<int64_t> Shape,
                     Type ElementType)
       : TypeStorage(K, Ctx), Shape(std::move(Shape)),
-        ElementType(ElementType) {}
+        ElementType(ElementType) {
+    Hash = shapeHasher().get();
+  }
+  StableHasher shapeHasher() const {
+    StableHasher H = typeHasher(TypeKind);
+    addInts(H, Shape);
+    H.add(ElementType.getHash());
+    return H;
+  }
   std::vector<int64_t> Shape;
   Type ElementType;
 };
@@ -43,7 +76,12 @@ struct MemRefTypeStorage : ShapedTypeStorage {
                     bool HasLayout, int64_t Offset,
                     std::vector<int64_t> Strides)
       : ShapedTypeStorage(Kind::MemRef, Ctx, std::move(Shape), ElementType),
-        HasLayout(HasLayout), Offset(Offset), Strides(std::move(Strides)) {}
+        HasLayout(HasLayout), Offset(Offset), Strides(std::move(Strides)) {
+    StableHasher H = shapeHasher();
+    H.add(HasLayout).add(static_cast<uint64_t>(Offset));
+    addInts(H, this->Strides);
+    Hash = H.get();
+  }
   bool HasLayout;
   int64_t Offset;
   std::vector<int64_t> Strides;
@@ -53,14 +91,21 @@ struct FunctionTypeStorage : TypeStorage {
   FunctionTypeStorage(Context *Ctx, std::vector<Type> Inputs,
                       std::vector<Type> Results)
       : TypeStorage(Kind::Function, Ctx), Inputs(std::move(Inputs)),
-        Results(std::move(Results)) {}
+        Results(std::move(Results)) {
+    StableHasher H = typeHasher(Kind::Function);
+    addTypes(H, this->Inputs);
+    addTypes(H, this->Results);
+    Hash = H.get();
+  }
   std::vector<Type> Inputs;
   std::vector<Type> Results;
 };
 
 struct TransformOpTypeStorage : TypeStorage {
   TransformOpTypeStorage(Context *Ctx, std::string OpName)
-      : TypeStorage(Kind::TransformOp, Ctx), OpName(std::move(OpName)) {}
+      : TypeStorage(Kind::TransformOp, Ctx), OpName(std::move(OpName)) {
+    Hash = typeHasher(Kind::TransformOp).addBytes(this->OpName).get();
+  }
   std::string OpName;
 };
 

@@ -32,6 +32,8 @@ inline constexpr int64_t kDynamic = std::numeric_limits<int64_t>::min();
 
 /// Base storage for all types. Subclass storages add their parameters.
 struct TypeStorage {
+  /// The kind values feed Hash, which persists in tuning-database keys:
+  /// append new kinds, never reorder.
   enum class Kind : uint8_t {
     Index,
     Integer,
@@ -51,6 +53,10 @@ struct TypeStorage {
 
   Kind TypeKind;
   Context *Ctx;
+  /// Stable structural hash of the kind and parameters (nested types by
+  /// their own Hash), set once by the storage constructor — that is, only
+  /// when the uniquer creates the storage.
+  uint64_t Hash = 0;
 };
 
 /// Value handle for a uniqued type. Cheap to copy; null-testable.
@@ -92,6 +98,12 @@ public:
 
   void print(raw_ostream &OS) const;
   std::string str() const;
+
+  /// Structural hash, equal for equal types in any Context and any build.
+  uint64_t getHash() const {
+    assert(Impl && "null type");
+    return Impl->Hash;
+  }
 
   const TypeStorage *getImpl() const { return Impl; }
 

@@ -8,7 +8,6 @@
 
 #include "core/MatcherEngine.h"
 #include "exec/Executor.h"
-#include "ir/Parser.h"
 #include "loops/LoopUtils.h"
 #include "support/STLExtras.h"
 #include "support/Stream.h"
@@ -128,14 +127,11 @@ StrategyManager::getFallbackChain(std::string_view Target) const {
 // Selection
 //===----------------------------------------------------------------------===//
 
-/// The dispatch cache key must identify the payload *shape*; printing is
-/// the one canonical serialization every subsystem already agrees on, and
-/// the hash is the library manager's content hash.
-static uint64_t fingerprintPayload(Operation *Payload) {
-  std::string Text;
-  raw_string_ostream OS(Text);
-  Payload->print(OS);
-  return hashContent(Text);
+uint64_t StrategyManager::hashPayload(Operation *Payload) {
+  static telemetry::Counter &Computations =
+      telemetry::counter("strategy.fingerprint.computations");
+  Computations.add();
+  return hashOperationStructure(Payload);
 }
 
 FailureOr<std::vector<const RegisteredStrategy *>>
@@ -177,11 +173,18 @@ StrategyManager::rankApplicable(Operation *Payload, std::string_view Target,
 FailureOr<StrategyManager::Selection>
 StrategyManager::select(Operation *Payload, std::string_view Target,
                         const TransformOptions &Options) {
+  return select(Payload, hashPayload(Payload), Target, Options);
+}
+
+FailureOr<StrategyManager::Selection>
+StrategyManager::select(Operation *Payload, uint64_t PayloadFingerprint,
+                        std::string_view Target,
+                        const TransformOptions &Options) {
   ++NumSelectQueries;
   static telemetry::Counter &SelectQueries =
       telemetry::counter("strategy.select_queries");
   SelectQueries.add();
-  std::pair<uint64_t, std::string> Key{fingerprintPayload(Payload),
+  std::pair<uint64_t, std::string> Key{PayloadFingerprint,
                                        std::string(Target)};
   auto Cached = SelectionCache.find(Key);
   if (Cached != SelectionCache.end()) {
@@ -357,12 +360,18 @@ StrategyManager::dispatch(Operation *Payload, std::string_view Target,
   telemetry::ScopedTimer DispatchTimer(DispatchStat);
   telemetry::ScopedSpan DispatchSpan("strategy:dispatch", "strategy");
   DispatchSpan.arg("target", Target);
-  FailureOr<Selection> Selected = select(Payload, Target, Options.Transform);
+  // The one payload identity of this dispatch: selection, the tuning-DB key
+  // and the caller (through the result) all use it. Computed before the
+  // strategy runs, so it names the payload as it arrived.
+  uint64_t PayloadFp = hashPayload(Payload);
+  FailureOr<Selection> Selected =
+      select(Payload, PayloadFp, Target, Options.Transform);
   if (failed(Selected))
     return failure();
   const RegisteredStrategy &S = *Selected->Strategy;
 
   DispatchResult Result;
+  Result.PayloadFingerprint = PayloadFp;
   Result.Strategy = &S;
   Result.MatchedTarget = Selected->MatchedTarget;
   Result.SelectionCacheHit = Selected->CacheHit;
@@ -378,7 +387,6 @@ StrategyManager::dispatch(Operation *Payload, std::string_view Target,
       // evaluations. A stale match (library edited since) is reported and
       // demoted to a warm-start seed for the re-tune below.
       autotune::TuningRequest Request;
-      uint64_t PayloadFp = fingerprintPayload(Payload);
       autotune::TuningKey DBKey;
       if (TuningDB) {
         DBKey = makeTuningKey(S, PayloadFp);
@@ -414,15 +422,10 @@ StrategyManager::dispatch(Operation *Payload, std::string_view Target,
         }
       }
       if (!Result.TuningDBHit) {
-        // Tuning runs against clones: every evaluation parses a fresh copy
-        // of the payload, applies the entry with the proposed
-        // configuration, and measures the transformed clone — the real
-        // payload is only touched by the final, winning configuration.
-        std::string PayloadText;
-        {
-          raw_string_ostream OS(PayloadText);
-          Payload->print(OS);
-        }
+        // Tuning runs against clones: every evaluation deep-copies the
+        // payload, applies the entry with the proposed configuration, and
+        // measures the transformed copy — the real payload is only touched
+        // by the final, winning configuration.
         std::function<FailureOr<double>(Operation *)> Objective =
             Options.Objective;
         if (!Objective)
@@ -438,10 +441,7 @@ StrategyManager::dispatch(Operation *Payload, std::string_view Target,
         Request.Budget = Options.TuneBudget;
         Request.Objective =
             [&](const std::vector<int64_t> &Config) -> double {
-          OwningOpRef Clone =
-              parseSourceString(Ctx, PayloadText, "strategy-tune");
-          if (!Clone)
-            return 1e9;
+          OwningOpRef Clone(Payload->clone());
           // A config the strategy rejects (e.g. a tile that does not
           // divide) is infeasible, not an error: cost it out of the
           // search instead of aborting the dispatch.
@@ -518,10 +518,8 @@ StrategyManager::makeTuningKey(const RegisteredStrategy &S,
   return Key;
 }
 
-void StrategyManager::dumpStrategies(raw_ostream &OS,
-                                     Operation *Payload) const {
-  uint64_t PayloadFp =
-      Payload && TuningDB ? fingerprintPayload(Payload) : 0;
+void StrategyManager::dumpStrategies(
+    raw_ostream &OS, std::optional<uint64_t> PayloadFingerprint) const {
   for (const std::unique_ptr<RegisteredStrategy> &S : Strategies) {
     const StrategyManifest &M = S->Manifest;
     OS << "strategy '@" << M.LibraryName << "' (target '" << M.Target
@@ -529,8 +527,8 @@ void StrategyManager::dumpStrategies(raw_ostream &OS,
     OS << "  entry @strategy : "
        << TransformLibraryManager::signatureOf(M.Entry) << "\n";
     OS << "  applies: " << (M.Applies ? "@applies" : "always") << "\n";
-    if (Payload && TuningDB) {
-      autotune::TuningKey Key = makeTuningKey(*S, PayloadFp);
+    if (PayloadFingerprint && TuningDB) {
+      autotune::TuningKey Key = makeTuningKey(*S, *PayloadFingerprint);
       if (const autotune::TuningRecord *Hit = TuningDB->lookup(Key)) {
         OS << "  tuning-db: hit (cost " << doubleToString(Hit->Cost)
            << ", " << Hit->Evaluations << " evaluations recorded)\n";

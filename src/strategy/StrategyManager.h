@@ -27,14 +27,16 @@
 /// with a warning on ambiguous ties), and runs the winner's `@strategy`
 /// through the interpreter in the library's linked scope. Selection is
 /// cached by (payload fingerprint, target), so re-dispatching the same
-/// payload shape skips every applicability query.
+/// payload shape skips every applicability query. The fingerprint is
+/// `hashOperationStructure` (ir/IR.h), computed once per dispatch; the same
+/// value keys the tuning database and is returned to the caller.
 ///
 /// **Tuning**: when the winning manifest declares `strategy.params`, the
 /// manager builds an `autotune::TuningSpace` from the candidate lists /
 /// `divisors_of_dim` specs and — given a budget — drives `AutoTuner`,
 /// binding each proposed configuration as `!transform.param` operands of
 /// the entry sequence (the same readIntParams path every parametric
-/// transform uses) against a fresh payload clone, and measuring cost with
+/// transform uses) against a deep copy of the payload, and measuring cost with
 /// the objective hook (`exec::measureExecutionSeconds` by default). The
 /// best configuration is then bound for the real run. Without a budget the
 /// first candidate of every parameter is bound, deterministically.
@@ -53,6 +55,7 @@
 #include <functional>
 #include <map>
 #include <memory>
+#include <optional>
 #include <set>
 #include <string>
 #include <vector>
@@ -88,6 +91,9 @@ struct DispatchOptions {
 
 /// What one successful dispatch did.
 struct DispatchResult {
+  /// hashOperationStructure() of the payload as it arrived: the selection
+  /// cache key and the tuning-database payload key of this dispatch.
+  uint64_t PayloadFingerprint = 0;
   const RegisteredStrategy *Strategy = nullptr;
   /// The fallback-chain entry that produced the winner (equals the
   /// requested target unless the chain fell back).
@@ -142,7 +148,8 @@ public:
   /// higher `strategy.priority` wins and ties break by library name (with
   /// an ambiguity warning). Cached by (payload fingerprint, target) — the
   /// cache hit skips every `@applies` query. Emits a diagnostic and fails
-  /// when no strategy in the chain applies.
+  /// when no strategy in the chain applies. Computes the payload
+  /// fingerprint (one `strategy.fingerprint.computations`).
   struct Selection {
     const RegisteredStrategy *Strategy = nullptr;
     std::string MatchedTarget;
@@ -151,8 +158,8 @@ public:
   FailureOr<Selection> select(Operation *Payload, std::string_view Target,
                               const TransformOptions &Options);
 
-  /// Full dispatch: select, resolve/tune the parameter configuration, and
-  /// run the winner's `@strategy` on \p Payload.
+  /// Full dispatch: fingerprint \p Payload once, select, resolve/tune the
+  /// parameter configuration, and run the winner's `@strategy` on it.
   FailureOr<DispatchResult> dispatch(Operation *Payload,
                                      std::string_view Target,
                                      const DispatchOptions &Options = {});
@@ -210,13 +217,26 @@ public:
 
   /// Prints every registered strategy with target, priority, entry
   /// signature, applicability gate, and declared parameters
-  /// (`tdl-opt --dump-strategies`). With a payload and an attached tuning
-  /// database, each strategy also reports its database status for that
-  /// payload: hit (trusted stored configuration), stale (entry from an
-  /// earlier library edition), or absent.
-  void dumpStrategies(raw_ostream &OS, Operation *Payload = nullptr) const;
+  /// (`tdl-opt --dump-strategies`). With a payload fingerprint
+  /// (hashOperationStructure) and an attached tuning database, each
+  /// strategy also reports its database status for that payload: hit
+  /// (trusted stored configuration), stale (entry from an earlier library
+  /// edition), or absent.
+  void dumpStrategies(
+      raw_ostream &OS,
+      std::optional<uint64_t> PayloadFingerprint = std::nullopt) const;
 
 private:
+  /// hashOperationStructure(\p Payload), counted as one
+  /// `strategy.fingerprint.computations`.
+  static uint64_t hashPayload(Operation *Payload);
+
+  /// select() with the fingerprint already computed (dispatch reuses its
+  /// own for the tuning-database key).
+  FailureOr<Selection> select(Operation *Payload, uint64_t PayloadFingerprint,
+                              std::string_view Target,
+                              const TransformOptions &Options);
+
   /// Registers every not-yet-registered strategy library the library
   /// manager currently holds.
   LogicalResult refreshRegistrations();

@@ -43,8 +43,9 @@ struct RunReport {
   int64_t StartUnixMs = 0;
 
   std::string PayloadPath;
-  /// FNV-1a hash of the payload text, 16 hex digits; empty until the
-  /// payload file has been read.
+  /// hashOperationStructure() of the parsed payload, 16 hex digits: the
+  /// payload key of the tuning-database records the run's dispatch used.
+  /// Empty when the payload fails to read or parse.
   std::string PayloadFingerprint;
 
   /// Echo of the effective run options. Values are pre-rendered JSON

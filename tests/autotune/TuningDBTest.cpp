@@ -179,7 +179,7 @@ TEST(TuningDBTest, EqualStoresSaveByteIdentical) {
 TEST(TuningDBTest, CorruptRecordSkippedWithNamedDiagnostic) {
   TempDBDir Dir;
   TuningRecord Good = makeRecord(1, "avx2", 10, "hw", {4}, 0.5);
-  Dir.write("store.tdb", "tdl-tuning-db 1\n" +
+  Dir.write("store.tdb", "tdl-tuning-db 2\n" +
                              TuningDB::formatRecord(Good) + "\n" +
                              "0123 avx2 truncated\n" + "# a comment\n" +
                              "0123 avx2 0456 hw lib 0.5 8 1 notanint\n");

@@ -85,6 +85,51 @@ TEST_F(ExecutorTest, IntegerOpsAndSelect) {
   EXPECT_EQ((*Result)[0].I, 3); // max(17/5=3, 17%5=2) via select
 }
 
+/// A module whose @f compares its two index arguments with \p Predicate.
+static std::string cmpiModule(std::string_view Predicate) {
+  return R"(
+    "builtin.module"() ({
+      "func.func"() ({
+      ^bb0(%a: index, %b: index):
+        %c = "arith.cmpi"(%a, %b) {predicate = ")" +
+         std::string(Predicate) + R"("} : (index, index) -> (i1)
+        "func.return"(%c) : (i1) -> ()
+      }) {sym_name = "f", function_type = (index, index) -> i1} : () -> ()
+    }) : () -> ()
+  )";
+}
+
+TEST_F(ExecutorTest, CmpiUnsignedPredicatesCompareBitPatterns) {
+  // -1 is all ones: the largest unsigned value, the smallest signed one.
+  auto Compare = [&](std::string_view Predicate, int64_t A, int64_t B) {
+    OwningOpRef Module = parseSourceString(Ctx, cmpiModule(Predicate));
+    EXPECT_TRUE(Module);
+    exec::Executor Exec(Module.get());
+    auto Result =
+        Exec.run("f", {RuntimeValue::makeInt(A), RuntimeValue::makeInt(B)});
+    EXPECT_TRUE(succeeded(Result)) << Predicate;
+    return succeeded(Result) && (*Result)[0].I != 0;
+  };
+  EXPECT_FALSE(Compare("ult", -1, 0));
+  EXPECT_TRUE(Compare("ugt", -1, 0));
+  EXPECT_FALSE(Compare("ule", -1, 0));
+  EXPECT_TRUE(Compare("uge", -1, 0));
+  EXPECT_TRUE(Compare("ule", 7, 7));
+  EXPECT_TRUE(Compare("uge", 7, 7));
+  EXPECT_TRUE(Compare("slt", -1, 0));
+  EXPECT_FALSE(Compare("sgt", -1, 0));
+}
+
+TEST_F(ExecutorTest, CmpiUnknownPredicateFailsToCompile) {
+  OwningOpRef Module = parseSourceString(Ctx, cmpiModule("ulq"));
+  ASSERT_TRUE(Module);
+  exec::Executor Exec(Module.get());
+  ScopedDiagnosticCapture Capture(Ctx.getDiagEngine());
+  EXPECT_TRUE(failed(Exec.run(
+      "f", {RuntimeValue::makeInt(1), RuntimeValue::makeInt(2)})));
+  EXPECT_TRUE(Capture.contains("unknown cmpi predicate 'ulq'"));
+}
+
 TEST_F(ExecutorTest, LoopAccumulation) {
   // Sum m[i] over i in [0, 8) into m[0] using loads/stores.
   OwningOpRef Module = parseSourceString(Ctx, R"(

@@ -617,15 +617,19 @@ TEST_F(StrategyTest, DumpStrategiesReportsTuningDBStatus) {
   Options.TuneBudget = 30;
   Options.Objective = nearestConstantTo39;
   OwningOpRef Payload = parsePayload(LoopPayloadText);
-  ASSERT_TRUE(
-      succeeded(Strategies.dispatch(Payload.get(), "generic", Options)));
+  FailureOr<DispatchResult> Result =
+      Strategies.dispatch(Payload.get(), "generic", Options);
+  ASSERT_TRUE(succeeded(Result));
 
   // Dispatch transformed `Payload` in place; status is keyed by the
-  // *pre-transform* fingerprint, so dump against a fresh parse.
+  // *pre-transform* fingerprint, which the result carries and which a fresh
+  // parse reproduces.
   OwningOpRef Fresh = parsePayload(LoopPayloadText);
+  EXPECT_EQ(Result->PayloadFingerprint, hashOperationStructure(Fresh.get()));
+  EXPECT_NE(Result->PayloadFingerprint, hashOperationStructure(Payload.get()));
   std::string Text;
   raw_string_ostream OS(Text);
-  Strategies.dumpStrategies(OS, Fresh.get());
+  Strategies.dumpStrategies(OS, Result->PayloadFingerprint);
   // The tuned strategy has a stored entry; the avx2 strategy was never
   // tuned for this payload.
   EXPECT_NE(Text.find("tuning-db: hit"), std::string::npos) << Text;

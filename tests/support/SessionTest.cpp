@@ -243,7 +243,7 @@ TEST(SessionTest, ReadOnlySessionNeverCreatesTheStore) {
 
 TEST(SessionTest, OpenTuningDBReportsSkippedRecordsAsWarnings) {
   SessionWorkspace WS;
-  WS.write("tuned.tdb", "tdl-tuning-db 1\nnot a valid record line at all\n");
+  WS.write("tuned.tdb", "tdl-tuning-db 2\nnot a valid record line at all\n");
   std::string Out, Err;
   raw_string_ostream OS(Out), ES(Err);
   RunOptions Options = WS.dispatchOptions();
