@@ -10,8 +10,6 @@
 #include "support/Hashing.h"
 #include "support/Stream.h"
 
-#include <memory>
-
 using namespace tdl;
 
 //===----------------------------------------------------------------------===//
@@ -41,46 +39,44 @@ uint64_t AffineExpr::getHash() const { return Impl->Hash; }
 // Construction with simplification
 //===----------------------------------------------------------------------===//
 
-static AffineExpr uniqueExpr(Context &Ctx, AffineExprStorage Proto) {
-  char Buffer[96];
-  std::snprintf(Buffer, sizeof(Buffer), "%d|%lld|%u|%p|%p",
-                static_cast<int>(Proto.Kind),
-                static_cast<long long>(Proto.Value), Proto.Position,
-                static_cast<const void *>(Proto.Lhs.getImpl()),
-                static_cast<const void *>(Proto.Rhs.getImpl()));
-  return AffineExpr(Ctx.uniqueAffineExpr(Buffer, [&] {
-    auto Storage = std::make_unique<AffineExprStorage>(Proto);
-    Storage->Ctx = &Ctx;
-    StableHasher H;
-    H.add(0x6166650000000000ull | static_cast<uint64_t>(Proto.Kind)) // "afe"
-        .add(static_cast<uint64_t>(Proto.Value))
-        .add(Proto.Position)
-        .add(Proto.Lhs ? Proto.Lhs.getHash() : 0)
-        .add(Proto.Rhs ? Proto.Rhs.getHash() : 0);
-    Storage->Hash = H.get();
-    return Storage;
-  }));
+uint64_t AffineExprStorage::hashKey(const KeyTy &Key) {
+  return StableHasher()
+      .add(0x6166650000000000ull | static_cast<uint64_t>(Key.Kind)) // "afe"
+      .add(static_cast<uint64_t>(Key.Value))
+      .add(Key.Position)
+      .add(Key.Lhs ? Key.Lhs.getHash() : 0)
+      .add(Key.Rhs ? Key.Rhs.getHash() : 0)
+      .get();
+}
+
+bool AffineExprStorage::operator==(const KeyTy &Key) const {
+  return Kind == Key.Kind && Value == Key.Value && Position == Key.Position &&
+         Lhs == Key.Lhs && Rhs == Key.Rhs;
+}
+
+static AffineExpr uniqueExpr(Context &Ctx, const AffineExprStorage::KeyTy &Key) {
+  return AffineExpr(Ctx.getStorage<AffineExprStorage>(Key));
 }
 
 AffineExpr tdl::getAffineDimExpr(Context &Ctx, unsigned Position) {
-  AffineExprStorage Proto;
-  Proto.Kind = AffineExprKind::DimId;
-  Proto.Position = Position;
-  return uniqueExpr(Ctx, Proto);
+  AffineExprStorage::KeyTy Key;
+  Key.Kind = AffineExprKind::DimId;
+  Key.Position = Position;
+  return uniqueExpr(Ctx, Key);
 }
 
 AffineExpr tdl::getAffineSymbolExpr(Context &Ctx, unsigned Position) {
-  AffineExprStorage Proto;
-  Proto.Kind = AffineExprKind::SymbolId;
-  Proto.Position = Position;
-  return uniqueExpr(Ctx, Proto);
+  AffineExprStorage::KeyTy Key;
+  Key.Kind = AffineExprKind::SymbolId;
+  Key.Position = Position;
+  return uniqueExpr(Ctx, Key);
 }
 
 AffineExpr tdl::getAffineConstantExpr(Context &Ctx, int64_t Value) {
-  AffineExprStorage Proto;
-  Proto.Kind = AffineExprKind::Constant;
-  Proto.Value = Value;
-  return uniqueExpr(Ctx, Proto);
+  AffineExprStorage::KeyTy Key;
+  Key.Kind = AffineExprKind::Constant;
+  Key.Value = Value;
+  return uniqueExpr(Ctx, Key);
 }
 
 /// Floor division with mathematically correct handling of negatives.
@@ -154,11 +150,11 @@ AffineExpr tdl::getAffineBinaryExpr(AffineExprKind Kind, AffineExpr Lhs,
       return Lhs;
   }
 
-  AffineExprStorage Proto;
-  Proto.Kind = Kind;
-  Proto.Lhs = Lhs;
-  Proto.Rhs = Rhs;
-  return uniqueExpr(Ctx, Proto);
+  AffineExprStorage::KeyTy Key;
+  Key.Kind = Kind;
+  Key.Lhs = Lhs;
+  Key.Rhs = Rhs;
+  return uniqueExpr(Ctx, Key);
 }
 
 AffineExpr AffineExpr::operator+(AffineExpr Rhs) const {
@@ -294,32 +290,21 @@ std::string AffineExpr::str() const {
 // AffineMap
 //===----------------------------------------------------------------------===//
 
+uint64_t AffineMapStorage::hashKey(const KeyTy &Key) {
+  StableHasher H;
+  H.add(0x61666d0000000000ull) // "afm"
+      .add(Key.NumDims)
+      .add(Key.NumSymbols)
+      .add(Key.Results.size());
+  for (AffineExpr Expr : Key.Results)
+    H.add(Expr.getHash());
+  return H.get();
+}
+
 AffineMap AffineMap::get(Context &Ctx, unsigned NumDims, unsigned NumSymbols,
                          std::vector<AffineExpr> Results) {
-  std::string Key =
-      std::to_string(NumDims) + "|" + std::to_string(NumSymbols) + "|";
-  char Buffer[24];
-  for (AffineExpr Expr : Results) {
-    std::snprintf(Buffer, sizeof(Buffer), "%p,",
-                  static_cast<const void *>(Expr.getImpl()));
-    Key += Buffer;
-  }
-  return AffineMap(Ctx.uniqueAffineMap(Key, [&] {
-    auto Storage = std::make_unique<AffineMapStorage>();
-    Storage->Ctx = &Ctx;
-    Storage->NumDims = NumDims;
-    Storage->NumSymbols = NumSymbols;
-    StableHasher H;
-    H.add(0x61666d0000000000ull) // "afm"
-        .add(NumDims)
-        .add(NumSymbols)
-        .add(Results.size());
-    for (AffineExpr Expr : Results)
-      H.add(Expr.getHash());
-    Storage->Hash = H.get();
-    Storage->Results = std::move(Results);
-    return Storage;
-  }));
+  return AffineMap(
+      Ctx.getStorage<AffineMapStorage>({NumDims, NumSymbols, Results}));
 }
 
 AffineMap AffineMap::getIdentity(Context &Ctx, unsigned NumDims) {

@@ -149,27 +149,54 @@ inline raw_ostream &operator<<(raw_ostream &OS, AffineMap Map) {
   return OS;
 }
 
-/// Storage definitions. Exposed in the header only so the Context can own
-/// uniquing pools of complete types; do not use directly.
-/// Hash is the stable structural hash (kind, leaf value or position,
-/// operand hashes; AffineExprKind values feed it, so append new kinds, never
-/// reorder), set once when the uniquer creates the storage.
+/// Storage definitions, uniqued by the Context (see StorageUniquer.h); do
+/// not use directly. Hash is the stable structural hash (kind, leaf value or
+/// position, operand hashes; AffineExprKind values feed it, so append new
+/// kinds, never reorder), computed from the parameters before the lookup.
 struct AffineExprStorage {
-  AffineExprKind Kind = AffineExprKind::Constant;
-  Context *Ctx = nullptr;
-  int64_t Value = 0;     // Constant
-  unsigned Position = 0; // DimId / SymbolId
+  /// The parameters: a leaf's value or position, a binary node's operands.
+  struct KeyTy {
+    AffineExprKind Kind = AffineExprKind::Constant;
+    int64_t Value = 0;     // Constant
+    unsigned Position = 0; // DimId / SymbolId
+    AffineExpr Lhs;
+    AffineExpr Rhs;
+  };
+  static uint64_t hashKey(const KeyTy &Key);
+  bool operator==(const KeyTy &Key) const;
+  AffineExprStorage(Context *Ctx, const KeyTy &Key, uint64_t Hash)
+      : Kind(Key.Kind), Ctx(Ctx), Value(Key.Value), Position(Key.Position),
+        Lhs(Key.Lhs), Rhs(Key.Rhs), Hash(Hash) {}
+
+  AffineExprKind Kind;
+  Context *Ctx;
+  int64_t Value;
+  unsigned Position;
   AffineExpr Lhs;
   AffineExpr Rhs;
-  uint64_t Hash = 0;
+  uint64_t Hash;
 };
 
 struct AffineMapStorage {
-  Context *Ctx = nullptr;
-  unsigned NumDims = 0;
-  unsigned NumSymbols = 0;
+  struct KeyTy {
+    unsigned NumDims;
+    unsigned NumSymbols;
+    const std::vector<AffineExpr> &Results;
+  };
+  static uint64_t hashKey(const KeyTy &Key);
+  bool operator==(const KeyTy &Key) const {
+    return NumDims == Key.NumDims && NumSymbols == Key.NumSymbols &&
+           Results == Key.Results;
+  }
+  AffineMapStorage(Context *Ctx, const KeyTy &Key, uint64_t Hash)
+      : Ctx(Ctx), NumDims(Key.NumDims), NumSymbols(Key.NumSymbols),
+        Results(Key.Results), Hash(Hash) {}
+
+  Context *Ctx;
+  unsigned NumDims;
+  unsigned NumSymbols;
   std::vector<AffineExpr> Results;
-  uint64_t Hash = 0;
+  uint64_t Hash;
 };
 
 } // namespace tdl

@@ -10,7 +10,7 @@
 #include "support/Hashing.h"
 #include "support/Stream.h"
 
-#include <memory>
+#include <string_view>
 
 using namespace tdl;
 
@@ -27,89 +27,147 @@ StableHasher attrHasher(AttrStorage::Kind K) {
   return H;
 }
 
-struct SimpleAttrStorage : AttrStorage {
-  SimpleAttrStorage(Kind K, Context *Ctx) : AttrStorage(K, Ctx) {
-    Hash = attrHasher(K).get();
-  }
+struct UnitAttrStorage : AttrStorage {
+  struct KeyTy {};
+  static uint64_t hashKey(KeyTy) { return attrHasher(Kind::Unit).get(); }
+  bool operator==(KeyTy) const { return true; }
+  UnitAttrStorage(Context *Ctx, KeyTy, uint64_t Hash)
+      : AttrStorage(Kind::Unit, Ctx, Hash) {}
 };
 
 struct BoolAttrStorage : AttrStorage {
-  BoolAttrStorage(Context *Ctx, bool Value)
-      : AttrStorage(Kind::Bool, Ctx), Value(Value) {
-    Hash = attrHasher(Kind::Bool).add(Value).get();
+  using KeyTy = bool;
+  static uint64_t hashKey(bool Value) {
+    return attrHasher(Kind::Bool).add(Value).get();
   }
+  bool operator==(bool Key) const { return Value == Key; }
+  BoolAttrStorage(Context *Ctx, bool Value, uint64_t Hash)
+      : AttrStorage(Kind::Bool, Ctx, Hash), Value(Value) {}
   bool Value;
 };
 
 struct IntegerAttrStorage : AttrStorage {
-  IntegerAttrStorage(Context *Ctx, int64_t Value, Type Ty)
-      : AttrStorage(Kind::Integer, Ctx), Value(Value), Ty(Ty) {
-    Hash = attrHasher(Kind::Integer)
-               .add(static_cast<uint64_t>(Value))
-               .add(Ty.getHash())
-               .get();
+  struct KeyTy {
+    int64_t Value;
+    Type Ty;
+  };
+  static uint64_t hashKey(const KeyTy &Key) {
+    return attrHasher(Kind::Integer)
+        .add(static_cast<uint64_t>(Key.Value))
+        .add(Key.Ty.getHash())
+        .get();
   }
+  bool operator==(const KeyTy &Key) const {
+    return Value == Key.Value && Ty == Key.Ty;
+  }
+  IntegerAttrStorage(Context *Ctx, const KeyTy &Key, uint64_t Hash)
+      : AttrStorage(Kind::Integer, Ctx, Hash), Value(Key.Value), Ty(Key.Ty) {}
   int64_t Value;
   Type Ty;
 };
 
+/// Floats compare by bit pattern, so 0.0 and -0.0 are distinct attributes.
 struct FloatAttrStorage : AttrStorage {
-  FloatAttrStorage(Context *Ctx, double Value, Type Ty)
-      : AttrStorage(Kind::Float, Ctx), Value(Value), Ty(Ty) {
-    Hash =
-        attrHasher(Kind::Float).add(doubleBits(Value)).add(Ty.getHash()).get();
+  struct KeyTy {
+    double Value;
+    Type Ty;
+  };
+  static uint64_t hashKey(const KeyTy &Key) {
+    return attrHasher(Kind::Float)
+        .add(doubleBits(Key.Value))
+        .add(Key.Ty.getHash())
+        .get();
   }
+  bool operator==(const KeyTy &Key) const {
+    return doubleBits(Value) == doubleBits(Key.Value) && Ty == Key.Ty;
+  }
+  FloatAttrStorage(Context *Ctx, const KeyTy &Key, uint64_t Hash)
+      : AttrStorage(Kind::Float, Ctx, Hash), Value(Key.Value), Ty(Key.Ty) {}
   double Value;
   Type Ty;
 };
 
+/// String and symbol-reference attributes: a kind and the text.
 struct StringAttrStorage : AttrStorage {
-  StringAttrStorage(Context *Ctx, Kind K, std::string Value)
-      : AttrStorage(K, Ctx), Value(std::move(Value)) {
-    Hash = attrHasher(K).addBytes(this->Value).get();
+  struct KeyTy {
+    Kind K;
+    std::string_view Value;
+  };
+  static uint64_t hashKey(const KeyTy &Key) {
+    return attrHasher(Key.K).addBytes(Key.Value).get();
   }
+  bool operator==(const KeyTy &Key) const {
+    return AttrKind == Key.K && Value == Key.Value;
+  }
+  StringAttrStorage(Context *Ctx, const KeyTy &Key, uint64_t Hash)
+      : AttrStorage(Key.K, Ctx, Hash), Value(Key.Value) {}
   std::string Value;
 };
 
 struct ArrayAttrStorage : AttrStorage {
-  ArrayAttrStorage(Context *Ctx, std::vector<Attribute> Elements)
-      : AttrStorage(Kind::Array, Ctx), Elements(std::move(Elements)) {
+  using KeyTy = std::vector<Attribute>;
+  static uint64_t hashKey(const KeyTy &Elements) {
     StableHasher H = attrHasher(Kind::Array);
-    H.add(this->Elements.size());
-    for (Attribute Element : this->Elements)
+    H.add(Elements.size());
+    for (Attribute Element : Elements)
       H.add(Element.getHash());
-    Hash = H.get();
+    return H.get();
   }
+  bool operator==(const KeyTy &Key) const { return Elements == Key; }
+  ArrayAttrStorage(Context *Ctx, const KeyTy &Elements, uint64_t Hash)
+      : AttrStorage(Kind::Array, Ctx, Hash), Elements(Elements) {}
   std::vector<Attribute> Elements;
 };
 
 struct TypeAttrStorage : AttrStorage {
-  TypeAttrStorage(Context *Ctx, Type Value)
-      : AttrStorage(Kind::Type, Ctx), Value(Value) {
-    Hash = attrHasher(Kind::Type).add(Value.getHash()).get();
+  using KeyTy = Type;
+  static uint64_t hashKey(Type Value) {
+    return attrHasher(Kind::Type).add(Value.getHash()).get();
   }
+  bool operator==(Type Key) const { return Value == Key; }
+  TypeAttrStorage(Context *Ctx, Type Value, uint64_t Hash)
+      : AttrStorage(Kind::Type, Ctx, Hash), Value(Value) {}
   Type Value;
 };
 
 struct AffineMapAttrStorage : AttrStorage {
-  AffineMapAttrStorage(Context *Ctx, AffineMap Value)
-      : AttrStorage(Kind::AffineMap, Ctx), Value(Value) {
-    Hash = attrHasher(Kind::AffineMap).add(Value.getHash()).get();
+  using KeyTy = AffineMap;
+  static uint64_t hashKey(AffineMap Value) {
+    return attrHasher(Kind::AffineMap).add(Value.getHash()).get();
   }
+  bool operator==(AffineMap Key) const { return Value == Key; }
+  AffineMapAttrStorage(Context *Ctx, AffineMap Value, uint64_t Hash)
+      : AttrStorage(Kind::AffineMap, Ctx, Hash), Value(Value) {}
   AffineMap Value;
 };
 
+/// A splat stores its one value; a splat and a dense attribute holding the
+/// same single element are distinct.
 struct DenseElementsAttrStorage : AttrStorage {
-  DenseElementsAttrStorage(Context *Ctx, TensorType Ty,
-                           std::vector<double> Values, bool IsSplat)
-      : AttrStorage(Kind::DenseElements, Ctx), Ty(Ty),
-        Values(std::move(Values)), IsSplat(IsSplat) {
+  struct KeyTy {
+    TensorType Ty;
+    const std::vector<double> &Values;
+    bool IsSplat;
+  };
+  static uint64_t hashKey(const KeyTy &Key) {
     StableHasher H = attrHasher(Kind::DenseElements);
-    H.add(Ty.getHash()).add(IsSplat).add(this->Values.size());
-    for (double Element : this->Values)
+    H.add(Key.Ty.getHash()).add(Key.IsSplat).add(Key.Values.size());
+    for (double Element : Key.Values)
       H.add(doubleBits(Element));
-    Hash = H.get();
+    return H.get();
   }
+  bool operator==(const KeyTy &Key) const {
+    if (Ty != Key.Ty || IsSplat != Key.IsSplat ||
+        Values.size() != Key.Values.size())
+      return false;
+    for (size_t I = 0; I < Values.size(); ++I)
+      if (doubleBits(Values[I]) != doubleBits(Key.Values[I]))
+        return false;
+    return true;
+  }
+  DenseElementsAttrStorage(Context *Ctx, const KeyTy &Key, uint64_t Hash)
+      : AttrStorage(Kind::DenseElements, Ctx, Hash), Ty(Key.Ty),
+        Values(Key.Values), IsSplat(Key.IsSplat) {}
   TensorType Ty;
   std::vector<double> Values;
   bool IsSplat;
@@ -122,15 +180,11 @@ struct DenseElementsAttrStorage : AttrStorage {
 //===----------------------------------------------------------------------===//
 
 UnitAttr UnitAttr::get(Context &Ctx) {
-  return UnitAttr(Ctx.uniqueAttr("unit", [&] {
-    return std::make_unique<SimpleAttrStorage>(AttrStorage::Kind::Unit, &Ctx);
-  }));
+  return UnitAttr(Ctx.getStorage<UnitAttrStorage>({}));
 }
 
 BoolAttr BoolAttr::get(Context &Ctx, bool Value) {
-  return BoolAttr(Ctx.uniqueAttr(Value ? "true" : "false", [&] {
-    return std::make_unique<BoolAttrStorage>(&Ctx, Value);
-  }));
+  return BoolAttr(Ctx.getStorage<BoolAttrStorage>(Value));
 }
 
 bool BoolAttr::getValue() const {
@@ -139,10 +193,7 @@ bool BoolAttr::getValue() const {
 
 IntegerAttr IntegerAttr::get(Context &Ctx, int64_t Value, Type Ty) {
   assert(Ty.isIntOrIndex() && "integer attribute needs int/index type");
-  std::string Key = "int|" + std::to_string(Value) + "|" + Ty.str();
-  return IntegerAttr(Ctx.uniqueAttr(Key, [&] {
-    return std::make_unique<IntegerAttrStorage>(&Ctx, Value, Ty);
-  }));
+  return IntegerAttr(Ctx.getStorage<IntegerAttrStorage>({Value, Ty}));
 }
 
 IntegerAttr IntegerAttr::getIndex(Context &Ctx, int64_t Value) {
@@ -159,12 +210,7 @@ Type IntegerAttr::getType() const {
 
 FloatAttr FloatAttr::get(Context &Ctx, double Value, Type Ty) {
   assert(Ty.isFloat() && "float attribute needs float type");
-  char Buffer[48];
-  std::snprintf(Buffer, sizeof(Buffer), "float|%a|", Value);
-  std::string Key = Buffer + Ty.str();
-  return FloatAttr(Ctx.uniqueAttr(Key, [&] {
-    return std::make_unique<FloatAttrStorage>(&Ctx, Value, Ty);
-  }));
+  return FloatAttr(Ctx.getStorage<FloatAttrStorage>({Value, Ty}));
 }
 
 double FloatAttr::getValue() const {
@@ -176,11 +222,8 @@ Type FloatAttr::getType() const {
 }
 
 StringAttr StringAttr::get(Context &Ctx, std::string_view Value) {
-  std::string Key = "str|" + std::string(Value);
-  return StringAttr(Ctx.uniqueAttr(Key, [&] {
-    return std::make_unique<StringAttrStorage>(&Ctx, AttrStorage::Kind::String,
-                                               std::string(Value));
-  }));
+  return StringAttr(
+      Ctx.getStorage<StringAttrStorage>({AttrStorage::Kind::String, Value}));
 }
 
 std::string_view StringAttr::getValue() const {
@@ -188,16 +231,7 @@ std::string_view StringAttr::getValue() const {
 }
 
 ArrayAttr ArrayAttr::get(Context &Ctx, std::vector<Attribute> Elements) {
-  std::string Key = "array|";
-  char Buffer[24];
-  for (Attribute Element : Elements) {
-    std::snprintf(Buffer, sizeof(Buffer), "%p,",
-                  static_cast<const void *>(Element.getImpl()));
-    Key += Buffer;
-  }
-  return ArrayAttr(Ctx.uniqueAttr(Key, [&] {
-    return std::make_unique<ArrayAttrStorage>(&Ctx, std::move(Elements));
-  }));
+  return ArrayAttr(Ctx.getStorage<ArrayAttrStorage>(Elements));
 }
 
 ArrayAttr ArrayAttr::getIndexArray(Context &Ctx,
@@ -222,10 +256,7 @@ std::vector<int64_t> ArrayAttr::getAsIntegers() const {
 }
 
 TypeAttr TypeAttr::get(Context &Ctx, Type Value) {
-  std::string Key = "type|" + Value.str();
-  return TypeAttr(Ctx.uniqueAttr(Key, [&] {
-    return std::make_unique<TypeAttrStorage>(&Ctx, Value);
-  }));
+  return TypeAttr(Ctx.getStorage<TypeAttrStorage>(Value));
 }
 
 Type TypeAttr::getValue() const {
@@ -233,11 +264,8 @@ Type TypeAttr::getValue() const {
 }
 
 SymbolRefAttr SymbolRefAttr::get(Context &Ctx, std::string_view Name) {
-  std::string Key = "sym|" + std::string(Name);
-  return SymbolRefAttr(Ctx.uniqueAttr(Key, [&] {
-    return std::make_unique<StringAttrStorage>(
-        &Ctx, AttrStorage::Kind::SymbolRef, std::string(Name));
-  }));
+  return SymbolRefAttr(
+      Ctx.getStorage<StringAttrStorage>({AttrStorage::Kind::SymbolRef, Name}));
 }
 
 std::string_view SymbolRefAttr::getValue() const {
@@ -245,12 +273,7 @@ std::string_view SymbolRefAttr::getValue() const {
 }
 
 AffineMapAttr AffineMapAttr::get(Context &Ctx, AffineMap Map) {
-  char Buffer[32];
-  std::snprintf(Buffer, sizeof(Buffer), "map|%p",
-                static_cast<const void *>(Map.getImpl()));
-  return AffineMapAttr(Ctx.uniqueAttr(Buffer, [&] {
-    return std::make_unique<AffineMapAttrStorage>(&Ctx, Map);
-  }));
+  return AffineMapAttr(Ctx.getStorage<AffineMapAttrStorage>(Map));
 }
 
 AffineMap AffineMapAttr::getValue() const {
@@ -261,28 +284,15 @@ DenseElementsAttr DenseElementsAttr::get(Context &Ctx, TensorType Ty,
                                          std::vector<double> Values) {
   assert(static_cast<int64_t>(Values.size()) == Ty.getNumElements() &&
          "element count must match tensor type");
-  std::string Key = "dense|" + Ty.str() + "|";
-  char Buffer[32];
-  for (double Value : Values) {
-    std::snprintf(Buffer, sizeof(Buffer), "%a,", Value);
-    Key += Buffer;
-  }
-  return DenseElementsAttr(Ctx.uniqueAttr(Key, [&] {
-    return std::make_unique<DenseElementsAttrStorage>(&Ctx, Ty,
-                                                      std::move(Values),
-                                                      /*IsSplat=*/false);
-  }));
+  return DenseElementsAttr(Ctx.getStorage<DenseElementsAttrStorage>(
+      {Ty, Values, /*IsSplat=*/false}));
 }
 
 DenseElementsAttr DenseElementsAttr::getSplat(Context &Ctx, TensorType Ty,
                                               double Value) {
-  char Buffer[48];
-  std::snprintf(Buffer, sizeof(Buffer), "splat|%a|", Value);
-  std::string Key = Buffer + Ty.str();
-  return DenseElementsAttr(Ctx.uniqueAttr(Key, [&] {
-    return std::make_unique<DenseElementsAttrStorage>(
-        &Ctx, Ty, std::vector<double>{Value}, /*IsSplat=*/true);
-  }));
+  std::vector<double> Values{Value};
+  return DenseElementsAttr(Ctx.getStorage<DenseElementsAttrStorage>(
+      {Ty, Values, /*IsSplat=*/true}));
 }
 
 TensorType DenseElementsAttr::getType() const {

@@ -44,15 +44,16 @@ struct AttrStorage {
     DenseElements,
   };
 
-  AttrStorage(Kind K, Context *Ctx) : AttrKind(K), Ctx(Ctx) {}
-  virtual ~AttrStorage() = default;
+  AttrStorage(Kind K, Context *Ctx, uint64_t Hash)
+      : AttrKind(K), Ctx(Ctx), Hash(Hash) {}
 
   Kind AttrKind;
   Context *Ctx;
   /// Stable structural hash of the kind and parameters (nested types,
-  /// attributes and maps by their own hash, never by address), set once by
-  /// the storage constructor — that is, only when the uniquer creates it.
-  uint64_t Hash = 0;
+  /// attributes and maps by their own hash, never by address). The storage
+  /// class computes it from the parameters before the uniquer looks them
+  /// up, and the uniquer keys by it.
+  uint64_t Hash;
 };
 
 /// Value handle for a uniqued attribute.

@@ -6,9 +6,11 @@
 
 #include "ir/Context.h"
 
+#include <mutex>
+
 using namespace tdl;
 
-Context::Context() = default;
+Context::Context() : Uniquer(this) {}
 Context::~Context() = default;
 
 Dialect *Context::registerDialect(std::string_view Name,
@@ -78,61 +80,4 @@ std::vector<std::string> Context::getRegisteredOpNames() const {
     if (!Info.IsUnregistered)
       Names.push_back(Name);
   return Names;
-}
-
-// The four uniquers share one lock: keys are strings, storages are owned by
-// the pool, and the emplace below re-checks under the lock so a losing
-// concurrent Make() is simply discarded. Make() runs under the lock — storage
-// constructors never re-enter the uniquer with the same pool.
-
-const TypeStorage *Context::uniqueType(
-    const std::string &Key,
-    const std::function<std::unique_ptr<TypeStorage>()> &Make) {
-  std::lock_guard<std::mutex> Lock(UniquerMutex);
-  auto It = TypePool.find(Key);
-  if (It != TypePool.end())
-    return It->second.get();
-  auto Storage = Make();
-  const TypeStorage *Result = Storage.get();
-  TypePool.emplace(Key, std::move(Storage));
-  return Result;
-}
-
-const AttrStorage *Context::uniqueAttr(
-    const std::string &Key,
-    const std::function<std::unique_ptr<AttrStorage>()> &Make) {
-  std::lock_guard<std::mutex> Lock(UniquerMutex);
-  auto It = AttrPool.find(Key);
-  if (It != AttrPool.end())
-    return It->second.get();
-  auto Storage = Make();
-  const AttrStorage *Result = Storage.get();
-  AttrPool.emplace(Key, std::move(Storage));
-  return Result;
-}
-
-const AffineExprStorage *Context::uniqueAffineExpr(
-    const std::string &Key,
-    const std::function<std::unique_ptr<AffineExprStorage>()> &Make) {
-  std::lock_guard<std::mutex> Lock(UniquerMutex);
-  auto It = AffineExprPool.find(Key);
-  if (It != AffineExprPool.end())
-    return It->second.get();
-  auto Storage = Make();
-  const AffineExprStorage *Result = Storage.get();
-  AffineExprPool.emplace(Key, std::move(Storage));
-  return Result;
-}
-
-const AffineMapStorage *Context::uniqueAffineMap(
-    const std::string &Key,
-    const std::function<std::unique_ptr<AffineMapStorage>()> &Make) {
-  std::lock_guard<std::mutex> Lock(UniquerMutex);
-  auto It = AffineMapPool.find(Key);
-  if (It != AffineMapPool.end())
-    return It->second.get();
-  auto Storage = Make();
-  const AffineMapStorage *Result = Storage.get();
-  AffineMapPool.emplace(Key, std::move(Storage));
-  return Result;
 }

@@ -18,6 +18,7 @@
 
 #include "ir/Affine.h"
 #include "ir/Attributes.h"
+#include "ir/StorageUniquer.h"
 #include "ir/TypeSystem.h"
 #include "support/Diagnostics.h"
 #include "support/LogicalResult.h"
@@ -26,11 +27,9 @@
 #include <functional>
 #include <map>
 #include <memory>
-#include <mutex>
 #include <set>
 #include <shared_mutex>
 #include <string>
-#include <unordered_map>
 
 namespace tdl {
 
@@ -146,21 +145,14 @@ public:
   std::vector<std::string> getRegisteredOpNames() const;
 
   //===--------------------------------------------------------------------===//
-  // Storage uniquing (types, attributes, affine expressions)
+  // Storage uniquing (types, attributes, affine expressions and maps)
   //===--------------------------------------------------------------------===//
 
-  const TypeStorage *
-  uniqueType(const std::string &Key,
-             const std::function<std::unique_ptr<TypeStorage>()> &Make);
-  const AttrStorage *
-  uniqueAttr(const std::string &Key,
-             const std::function<std::unique_ptr<AttrStorage>()> &Make);
-  const AffineExprStorage *uniqueAffineExpr(
-      const std::string &Key,
-      const std::function<std::unique_ptr<AffineExprStorage>()> &Make);
-  const AffineMapStorage *uniqueAffineMap(
-      const std::string &Key,
-      const std::function<std::unique_ptr<AffineMapStorage>()> &Make);
+  /// Returns the uniqued storage for \p Key (see StorageUniquer.h).
+  template <typename StorageT>
+  const StorageT *getStorage(const typename StorageT::KeyTy &Key) {
+    return Uniquer.get<StorageT>(Key);
+  }
 
   /// Number of Operation objects currently alive in this context; used by
   /// tests to detect leaks and double frees. Atomic: worker threads in the
@@ -180,15 +172,7 @@ private:
   /// hot path (Operation::create -> getOrCreateOpInfo) is read-mostly.
   mutable std::shared_mutex OpsMutex;
 
-  std::unordered_map<std::string, std::unique_ptr<TypeStorage>> TypePool;
-  std::unordered_map<std::string, std::unique_ptr<AttrStorage>> AttrPool;
-  std::unordered_map<std::string, std::unique_ptr<AffineExprStorage>>
-      AffineExprPool;
-  std::unordered_map<std::string, std::unique_ptr<AffineMapStorage>>
-      AffineMapPool;
-  /// One lock for all four uniquing pools: parallel commit workers intern
-  /// attributes/types while building replacement IR.
-  std::mutex UniquerMutex;
+  StorageUniquer Uniquer;
 };
 
 } // namespace tdl

@@ -94,11 +94,22 @@ Operation *Operation::create(Context &Ctx, const OperationState &State) {
   const OpInfo *Info = Ctx.getOrCreateOpInfo(State.Name);
   assert(Info && "creating operation with unknown name; register the dialect "
                  "or enable unregistered ops");
-  return create(Ctx, Info, State);
+  Operation *Op = createWithoutAttrs(Ctx, Info, State);
+  Op->Attrs = State.Attributes;
+  Op->Successors = State.Successors;
+  return Op;
 }
 
 Operation *Operation::create(Context &Ctx, const OpInfo *Info,
-                             const OperationState &State) {
+                             OperationState &&State) {
+  Operation *Op = createWithoutAttrs(Ctx, Info, State);
+  Op->Attrs = std::move(State.Attributes);
+  Op->Successors = std::move(State.Successors);
+  return Op;
+}
+
+Operation *Operation::createWithoutAttrs(Context &Ctx, const OpInfo *Info,
+                                         const OperationState &State) {
   Operation *Op = new Operation(Ctx, State.Loc, Info);
 
   Op->Operands.reserve(State.Operands.size());
@@ -116,9 +127,6 @@ Operation *Operation::create(Context &Ctx, const OpInfo *Info,
     Impl->Index = I;
     Op->Results.push_back(std::move(Impl));
   }
-
-  Op->Attrs = State.Attributes;
-  Op->Successors = State.Successors;
 
   for (unsigned I = 0; I < State.NumRegions; ++I)
     Op->Regions.push_back(std::make_unique<Region>(Op));
@@ -353,7 +361,7 @@ Operation *Operation::clone(IRMapping &Mapping) const {
     State.Successors.push_back(Mapping.lookupOrDefault(Succ));
   State.NumRegions = Regions.size();
 
-  Operation *NewOp = create(*Ctx, Info, State);
+  Operation *NewOp = create(*Ctx, Info, std::move(State));
   NewOp->Attrs = Attrs;
   for (unsigned I = 0; I < getNumResults(); ++I)
     Mapping.map(getResult(I), NewOp->getResult(I));

@@ -154,6 +154,11 @@ public:
   /// Creates a detached operation. Asserts that the op name resolves to a
   /// registered (or permissively synthesizable) OpInfo.
   static Operation *create(Context &Ctx, const OperationState &State);
+  /// Creates a detached operation of the already resolved \p Info, taking
+  /// the operands, attributes and successors out of \p State; \p State's
+  /// name is not read.
+  static Operation *create(Context &Ctx, const OpInfo *Info,
+                           OperationState &&State);
 
   void destroy();
 
@@ -313,9 +318,9 @@ private:
   Operation(Context &Ctx, Location Loc, const OpInfo *Info);
   ~Operation();
 
-  /// create() once \p Info is resolved; \p State's name is not read.
-  static Operation *create(Context &Ctx, const OpInfo *Info,
-                           const OperationState &State);
+  /// Everything create() does except setting attributes and successors.
+  static Operation *createWithoutAttrs(Context &Ctx, const OpInfo *Info,
+                                       const OperationState &State);
 
   Context *Ctx;
   Location Loc;

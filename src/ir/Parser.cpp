@@ -6,22 +6,33 @@
 
 #include "ir/Parser.h"
 
-#include "support/STLExtras.h"
+#include "support/Telemetry.h"
 
-#include <cctype>
+#include <charconv>
 #include <cstdlib>
 #include <map>
 #include <memory>
+#include <unordered_map>
 
 using namespace tdl;
 
 namespace {
 
+bool isSpace(char C) {
+  return C == ' ' || C == '\n' || C == '\t' || C == '\r' || C == '\v' ||
+         C == '\f';
+}
+bool isDigit(char C) { return C >= '0' && C <= '9'; }
+bool isAlpha(char C) { return (C >= 'a' && C <= 'z') || (C >= 'A' && C <= 'Z'); }
+bool isAlnum(char C) { return isAlpha(C) || isDigit(C); }
+
 /// Character-level recursive-descent parser for the generic op format.
+/// Identifiers, op names and SSA names are views into the source; line and
+/// column are computed from the byte offset only when a location is needed.
 class Parser {
 public:
   Parser(Context &Ctx, std::string_view Source, std::string_view BufferName)
-      : Ctx(Ctx), Source(Source), BufferName(BufferName) {}
+      : Ctx(Ctx), Source(Source), FileLoc(Location::get(BufferName, 0, 0)) {}
 
   Operation *parseTopLevelOp() {
     pushScope();
@@ -50,6 +61,9 @@ public:
     return Ty;
   }
 
+  /// Operations created so far.
+  int64_t getNumOps() const { return NumOps; }
+
 private:
   //===--------------------------------------------------------------------===//
   // Character-level helpers
@@ -61,27 +75,16 @@ private:
     return Pos + Offset >= Source.size() ? '\0' : Source[Pos + Offset];
   }
 
-  char advance() {
-    char C = Source[Pos++];
-    if (C == '\n') {
-      ++Line;
-      Col = 1;
-    } else {
-      ++Col;
-    }
-    return C;
-  }
-
   void skipWs() {
     while (!atEnd()) {
-      char C = peek();
-      if (std::isspace(static_cast<unsigned char>(C))) {
-        advance();
+      char C = Source[Pos];
+      if (isSpace(C)) {
+        ++Pos;
         continue;
       }
       if (C == '/' && peekAt(1) == '/') {
-        while (!atEnd() && peek() != '\n')
-          advance();
+        size_t Newline = Source.find('\n', Pos);
+        Pos = Newline == std::string_view::npos ? Source.size() : Newline;
         continue;
       }
       break;
@@ -91,19 +94,15 @@ private:
   /// After whitespace, consumes \p Literal if it is next; returns success.
   bool tryConsume(std::string_view Literal) {
     skipWs();
-    if (Source.substr(Pos, Literal.size()) != Literal)
+    if (Source.compare(Pos, Literal.size(), Literal) != 0)
       return false;
     // Avoid consuming a prefix of a longer identifier.
-    if (!Literal.empty() &&
-        (std::isalnum(static_cast<unsigned char>(Literal.back())) ||
-         Literal.back() == '_')) {
+    if (!Literal.empty() && (isAlnum(Literal.back()) || Literal.back() == '_')) {
       char Next = peekAt(Literal.size());
-      if (std::isalnum(static_cast<unsigned char>(Next)) || Next == '_' ||
-          Next == '.')
+      if (isAlnum(Next) || Next == '_' || Next == '.')
         return false;
     }
-    for (size_t I = 0; I < Literal.size(); ++I)
-      advance();
+    Pos += Literal.size();
     return true;
   }
 
@@ -113,86 +112,110 @@ private:
     return error("expected '" + std::string(Literal) + "'");
   }
 
+  /// The file:line:col location of byte \p Offset. Lines are counted from
+  /// the last position asked for, so the forward-moving parser scans the
+  /// source for newlines once overall.
+  Location locAt(size_t Offset) {
+    if (Offset < LineCursor) {
+      LineCursor = 0;
+      CursorLine = 1;
+      CursorLineStart = 0;
+    }
+    for (size_t I = LineCursor; I < Offset; ++I) {
+      if (Source[I] == '\n') {
+        ++CursorLine;
+        CursorLineStart = I + 1;
+      }
+    }
+    LineCursor = Offset;
+    return FileLoc.withPosition(CursorLine, Offset - CursorLineStart + 1);
+  }
+
   LogicalResult error(std::string_view Message) {
-    Ctx.emitError(Location::get(BufferName, Line, Col)) << Message;
+    Ctx.emitError(locAt(Pos)) << Message;
     return failure();
   }
 
-  static bool isIdentStart(char C) {
-    return std::isalpha(static_cast<unsigned char>(C)) || C == '_';
-  }
+  static bool isIdentStart(char C) { return isAlpha(C) || C == '_'; }
   static bool isIdentBody(char C) {
-    return std::isalnum(static_cast<unsigned char>(C)) || C == '_' ||
-           C == '.' || C == '$';
+    return isAlnum(C) || C == '_' || C == '.' || C == '$';
   }
 
   /// Parses a bare identifier such as `sym_name` or `scf.for`.
-  std::string parseBareId() {
+  std::string_view parseBareId() {
     skipWs();
     if (!isIdentStart(peek()))
       return {};
-    std::string Id;
-    while (!atEnd() && isIdentBody(peek()))
-      Id += advance();
-    return Id;
+    size_t Start = Pos;
+    while (!atEnd() && isIdentBody(Source[Pos]))
+      ++Pos;
+    return Source.substr(Start, Pos - Start);
   }
 
   /// Parses `%name` style suffixed identifiers (after the sigil).
-  std::string parseSuffixId() {
-    std::string Id;
-    while (!atEnd() &&
-           (std::isalnum(static_cast<unsigned char>(peek())) || peek() == '_'))
-      Id += advance();
-    return Id;
+  std::string_view parseSuffixId() {
+    size_t Start = Pos;
+    while (!atEnd() && (isAlnum(Source[Pos]) || Source[Pos] == '_'))
+      ++Pos;
+    return Source.substr(Start, Pos - Start);
   }
 
   bool parseOptionalInt(int64_t &Value) {
     skipWs();
     size_t Start = Pos;
     bool Negative = false;
-    if (peek() == '-' &&
-        std::isdigit(static_cast<unsigned char>(peekAt(1)))) {
-      advance();
+    if (peek() == '-' && isDigit(peekAt(1))) {
+      ++Pos;
       Negative = true;
     }
-    if (!std::isdigit(static_cast<unsigned char>(peek()))) {
+    if (!isDigit(peek())) {
       Pos = Start;
       return false;
     }
     int64_t Magnitude = 0;
-    while (std::isdigit(static_cast<unsigned char>(peek())))
-      Magnitude = Magnitude * 10 + (advance() - '0');
+    while (isDigit(peek()))
+      Magnitude = Magnitude * 10 + (Source[Pos++] - '0');
     Value = Negative ? -Magnitude : Magnitude;
     return true;
   }
 
-  LogicalResult parseString(std::string &Value) {
+  /// Parses a string literal. Without escapes \p Value views the source;
+  /// otherwise it views \p Decoded, which holds the unescaped text.
+  LogicalResult parseString(std::string_view &Value, std::string &Decoded) {
     skipWs();
     if (peek() != '"')
       return error("expected string literal");
-    advance();
-    Value.clear();
+    size_t Start = ++Pos;
+    while (!atEnd() && Source[Pos] != '"' && Source[Pos] != '\\')
+      ++Pos;
+    if (peek() == '"') {
+      Value = Source.substr(Start, Pos - Start);
+      ++Pos; // closing quote
+      return success();
+    }
+    Decoded.assign(Source.substr(Start, Pos - Start));
     while (!atEnd() && peek() != '"') {
-      char C = advance();
+      char C = Source[Pos++];
       if (C == '\\' && !atEnd()) {
-        char Escaped = advance();
+        char Escaped = Source[Pos++];
         switch (Escaped) {
         case 'n':
-          Value += '\n';
+          Decoded += '\n';
           break;
         case 't':
-          Value += '\t';
+          Decoded += '\t';
           break;
         default:
-          Value += Escaped;
+          Decoded += Escaped;
         }
         continue;
       }
-      Value += C;
+      Decoded += C;
     }
     if (atEnd())
       return error("unterminated string literal");
-    advance(); // closing quote
+    ++Pos; // closing quote
+    Value = Decoded;
     return success();
   }
 
@@ -200,30 +223,48 @@ private:
   // Value and block scoping
   //===--------------------------------------------------------------------===//
 
-  void pushScope() { ValueScopes.emplace_back(); }
-  void popScope() { ValueScopes.pop_back(); }
+  /// SSA names live in one flat table: Bindings holds every definition in
+  /// scope, innermost last, and Visible maps a name to its innermost
+  /// binding (index + 1; 0 once the scope that defined it has closed).
+  /// Each binding remembers the one it shadows, which popScope restores.
+  struct ValueBinding {
+    std::string_view Name;
+    Value V;
+    uint32_t Shadowed;
+  };
 
-  void defineValue(const std::string &Name, Value V) {
-    ValueScopes.back()[Name] = V;
+  void pushScope() { ScopeStarts.push_back(Bindings.size()); }
+
+  void popScope() {
+    for (size_t Start = ScopeStarts.back(); Bindings.size() > Start;) {
+      const ValueBinding &B = Bindings.back();
+      Visible[B.Name] = B.Shadowed;
+      Bindings.pop_back();
+    }
+    ScopeStarts.pop_back();
   }
 
-  Value lookupValue(const std::string &Name) {
-    for (auto It = ValueScopes.rbegin(); It != ValueScopes.rend(); ++It) {
-      auto Found = It->find(Name);
-      if (Found != It->end())
-        return Found->second;
-    }
-    return Value();
+  void defineValue(std::string_view Name, Value V) {
+    uint32_t &Innermost = Visible[Name];
+    Bindings.push_back({Name, V, Innermost});
+    Innermost = static_cast<uint32_t>(Bindings.size());
+  }
+
+  Value lookupValue(std::string_view Name) const {
+    auto It = Visible.find(Name);
+    if (It == Visible.end() || It->second == 0)
+      return Value();
+    return Bindings[It->second - 1].V;
   }
 
   /// Per-region block label resolution with forward references.
   struct RegionScope {
     Region *TheRegion;
-    std::map<std::string, Block *> Labels;
-    std::map<std::string, std::unique_ptr<Block>> Pending;
+    std::map<std::string_view, Block *> Labels;
+    std::map<std::string_view, std::unique_ptr<Block>> Pending;
   };
 
-  Block *getOrCreateBlock(RegionScope &Scope, const std::string &Label) {
+  Block *getOrCreateBlock(RegionScope &Scope, std::string_view Label) {
     auto It = Scope.Labels.find(Label);
     if (It != Scope.Labels.end())
       return It->second;
@@ -235,7 +276,7 @@ private:
   }
 
   /// Attaches the block for \p Label to the region (defining it).
-  Block *defineBlock(RegionScope &Scope, const std::string &Label) {
+  Block *defineBlock(RegionScope &Scope, std::string_view Label) {
     auto PendingIt = Scope.Pending.find(Label);
     if (PendingIt != Scope.Pending.end()) {
       std::unique_ptr<Block> Owned = std::move(PendingIt->second);
@@ -243,7 +284,7 @@ private:
       return Scope.TheRegion->insertBlockBefore(nullptr, std::move(Owned));
     }
     if (Scope.Labels.count(Label)) {
-      error("redefinition of block label '^" + Label + "'");
+      error("redefinition of block label '^" + std::string(Label) + "'");
       return nullptr;
     }
     Block *Result = Scope.TheRegion->addBlock();
@@ -261,7 +302,7 @@ private:
       return parseFunctionType();
     if (peek() == '!')
       return parseTransformType();
-    std::string Id = parseBareId();
+    std::string_view Id = parseBareId();
     if (Id.empty()) {
       error("expected type");
       return Type();
@@ -272,10 +313,12 @@ private:
       return NoneType::get(Ctx);
     if (Id.size() > 1 && (Id[0] == 'i' || Id[0] == 'f')) {
       bool AllDigits = true;
-      for (size_t I = 1; I < Id.size(); ++I)
-        AllDigits &= std::isdigit(static_cast<unsigned char>(Id[I])) != 0;
+      unsigned Width = 0;
+      for (size_t I = 1; I < Id.size(); ++I) {
+        AllDigits &= isDigit(Id[I]);
+        Width = Width * 10 + (Id[I] - '0');
+      }
       if (AllDigits) {
-        unsigned Width = std::atoi(Id.c_str() + 1);
         if (Id[0] == 'i')
           return IntegerType::get(Ctx, Width);
         if (Width == 32 || Width == 64)
@@ -288,7 +331,7 @@ private:
       return parseMemRefType();
     if (Id == "tensor")
       return parseTensorType();
-    error("unknown type '" + Id + "'");
+    error("unknown type '" + std::string(Id) + "'");
     return Type();
   }
 
@@ -299,9 +342,9 @@ private:
       char C = peek();
       int64_t Dim;
       if (C == '?') {
-        advance();
+        ++Pos;
         Dim = kDynamic;
-      } else if (std::isdigit(static_cast<unsigned char>(C))) {
+      } else if (isDigit(C)) {
         parseOptionalInt(Dim);
       } else {
         return success();
@@ -309,7 +352,7 @@ private:
       Shape.push_back(Dim);
       if (peek() != 'x')
         return error("expected 'x' after dimension");
-      advance();
+      ++Pos;
     }
   }
 
@@ -332,7 +375,7 @@ private:
           int64_t Stride;
           skipWs();
           if (peek() == '?') {
-            advance();
+            ++Pos;
             Stride = kDynamic;
           } else if (!parseOptionalInt(Stride)) {
             error("expected stride");
@@ -349,7 +392,7 @@ private:
       int64_t Offset;
       skipWs();
       if (peek() == '?') {
-        advance();
+        ++Pos;
         Offset = kDynamic;
       } else if (!parseOptionalInt(Offset)) {
         error("expected offset");
@@ -396,7 +439,7 @@ private:
     std::vector<Type> Results;
     skipWs();
     if (peek() == '(') {
-      advance();
+      ++Pos;
       if (!tryConsume(")")) {
         do {
           Type Result = parseType();
@@ -426,8 +469,9 @@ private:
     if (tryConsume("!transform.op")) {
       if (failed(expect("<")))
         return Type();
-      std::string OpName;
-      if (failed(parseString(OpName)) || failed(expect(">")))
+      std::string_view OpName;
+      std::string Decoded;
+      if (failed(parseString(OpName, Decoded)) || failed(expect(">")))
         return Type();
       return TransformOpType::get(Ctx, OpName);
     }
@@ -443,14 +487,15 @@ private:
     skipWs();
     char C = peek();
     if (C == '"') {
-      std::string Value;
-      if (failed(parseString(Value)))
+      std::string_view Value;
+      std::string Decoded;
+      if (failed(parseString(Value, Decoded)))
         return Attribute();
       return StringAttr::get(Ctx, Value);
     }
     if (C == '@') {
-      advance();
-      std::string Name = parseBareId();
+      ++Pos;
+      std::string_view Name = parseBareId();
       if (Name.empty()) {
         error("expected symbol name after '@'");
         return Attribute();
@@ -458,7 +503,7 @@ private:
       return SymbolRefAttr::get(Ctx, Name);
     }
     if (C == '[') {
-      advance();
+      ++Pos;
       std::vector<Attribute> Elements;
       if (!tryConsume("]")) {
         do {
@@ -472,15 +517,14 @@ private:
       }
       return ArrayAttr::get(Ctx, std::move(Elements));
     }
-    if (C == '-' || std::isdigit(static_cast<unsigned char>(C)))
+    if (C == '-' || isDigit(C))
       return parseNumberAttr();
     if (C == '(' || C == '!')
       return parseTypeAttrTail();
 
     // Keyword-led attributes.
     size_t Save = Pos;
-    unsigned SaveLine = Line, SaveCol = Col;
-    std::string Id = parseBareId();
+    std::string_view Id = parseBareId();
     if (Id == "true")
       return BoolAttr::get(Ctx, true);
     if (Id == "false")
@@ -493,8 +537,6 @@ private:
       return parseAffineMapAttr();
     // Otherwise treat as a type attribute (e.g. `index`, `memref<...>`).
     Pos = Save;
-    Line = SaveLine;
-    Col = SaveCol;
     return parseTypeAttrTail();
   }
 
@@ -509,31 +551,30 @@ private:
     skipWs();
     size_t Start = Pos;
     if (peek() == '-')
-      advance();
-    while (std::isdigit(static_cast<unsigned char>(peek())))
-      advance();
+      ++Pos;
+    while (isDigit(peek()))
+      ++Pos;
     bool IsFloat = false;
     if (peek() == '.') {
       IsFloat = true;
-      advance();
-      while (std::isdigit(static_cast<unsigned char>(peek())))
-        advance();
+      ++Pos;
+      while (isDigit(peek()))
+        ++Pos;
     }
     if (peek() == 'e' || peek() == 'E') {
       char Next = peekAt(1);
-      if (std::isdigit(static_cast<unsigned char>(Next)) || Next == '-' ||
-          Next == '+') {
+      if (isDigit(Next) || Next == '-' || Next == '+') {
         IsFloat = true;
-        advance();
+        ++Pos;
         if (peek() == '-' || peek() == '+')
-          advance();
-        while (std::isdigit(static_cast<unsigned char>(peek())))
-          advance();
+          ++Pos;
+        while (isDigit(peek()))
+          ++Pos;
       }
     }
-    std::string Text(Source.substr(Start, Pos - Start));
+    std::string_view Text = Source.substr(Start, Pos - Start);
     if (IsFloat) {
-      double Value = std::strtod(Text.c_str(), nullptr);
+      double Value = toDouble(Text);
       Type Ty = FloatType::getF64(Ctx);
       if (tryConsume(":")) {
         Ty = parseType();
@@ -546,7 +587,7 @@ private:
       }
       return FloatAttr::get(Ctx, Value, Ty);
     }
-    int64_t Value = std::strtoll(Text.c_str(), nullptr, 10);
+    int64_t Value = toInt(Text);
     Type Ty = IntegerType::get(Ctx, 64);
     if (tryConsume(":")) {
       Ty = parseType();
@@ -562,6 +603,25 @@ private:
     return IntegerAttr::get(Ctx, Value, Ty);
   }
 
+  /// strtoll/strtod semantics (saturation, a lone "-" reads 0) without
+  /// copying the text in the common case.
+  static int64_t toInt(std::string_view Text) {
+    int64_t Value = 0;
+    auto [End, Error] =
+        std::from_chars(Text.data(), Text.data() + Text.size(), Value);
+    if (Error == std::errc() && End == Text.data() + Text.size())
+      return Value;
+    return std::strtoll(std::string(Text).c_str(), nullptr, 10);
+  }
+  static double toDouble(std::string_view Text) {
+    double Value = 0;
+    auto [End, Error] =
+        std::from_chars(Text.data(), Text.data() + Text.size(), Value);
+    if (Error == std::errc() && End == Text.data() + Text.size())
+      return Value;
+    return std::strtod(std::string(Text).c_str(), nullptr);
+  }
+
   Attribute parseDenseAttr() {
     if (failed(expect("<")))
       return Attribute();
@@ -569,7 +629,7 @@ private:
     bool IsSplat = false;
     skipWs();
     if (peek() == '[') {
-      advance();
+      ++Pos;
       if (!tryConsume("]")) {
         do {
           double Value;
@@ -606,25 +666,24 @@ private:
     skipWs();
     size_t Start = Pos;
     if (peek() == '-')
-      advance();
-    while (std::isdigit(static_cast<unsigned char>(peek())))
-      advance();
+      ++Pos;
+    while (isDigit(peek()))
+      ++Pos;
     if (peek() == '.') {
-      advance();
-      while (std::isdigit(static_cast<unsigned char>(peek())))
-        advance();
+      ++Pos;
+      while (isDigit(peek()))
+        ++Pos;
     }
     if (peek() == 'e' || peek() == 'E') {
-      advance();
+      ++Pos;
       if (peek() == '-' || peek() == '+')
-        advance();
-      while (std::isdigit(static_cast<unsigned char>(peek())))
-        advance();
+        ++Pos;
+      while (isDigit(peek()))
+        ++Pos;
     }
     if (Pos == Start)
       return error("expected numeric literal");
-    std::string Text(Source.substr(Start, Pos - Start));
-    Value = std::strtod(Text.c_str(), nullptr);
+    Value = toDouble(Source.substr(Start, Pos - Start));
     return success();
   }
 
@@ -640,13 +699,13 @@ private:
   }
 
   AffineMap parseAffineMapBody() {
-    std::map<std::string, AffineExpr> Names;
+    std::map<std::string_view, AffineExpr> Names;
     unsigned NumDims = 0, NumSymbols = 0;
     if (failed(expect("(")))
       return AffineMap();
     if (!tryConsume(")")) {
       do {
-        std::string Name = parseBareId();
+        std::string_view Name = parseBareId();
         if (Name.empty()) {
           error("expected dimension name");
           return AffineMap();
@@ -659,7 +718,7 @@ private:
     if (tryConsume("[")) {
       if (!tryConsume("]")) {
         do {
-          std::string Name = parseBareId();
+          std::string_view Name = parseBareId();
           if (Name.empty()) {
             error("expected symbol name");
             return AffineMap();
@@ -686,7 +745,7 @@ private:
     return AffineMap::get(Ctx, NumDims, NumSymbols, std::move(Results));
   }
 
-  AffineExpr parseAffineExpr(const std::map<std::string, AffineExpr> &Names) {
+  AffineExpr parseAffineExpr(const std::map<std::string_view, AffineExpr> &Names) {
     AffineExpr Lhs = parseAffineTerm(Names);
     if (!Lhs)
       return AffineExpr();
@@ -709,7 +768,7 @@ private:
     }
   }
 
-  AffineExpr parseAffineTerm(const std::map<std::string, AffineExpr> &Names) {
+  AffineExpr parseAffineTerm(const std::map<std::string_view, AffineExpr> &Names) {
     AffineExpr Lhs = parseAffineFactor(Names);
     if (!Lhs)
       return AffineExpr();
@@ -732,7 +791,7 @@ private:
     }
   }
 
-  AffineExpr parseAffineFactor(const std::map<std::string, AffineExpr> &Names) {
+  AffineExpr parseAffineFactor(const std::map<std::string_view, AffineExpr> &Names) {
     skipWs();
     if (tryConsume("(")) {
       AffineExpr Expr = parseAffineExpr(Names);
@@ -743,10 +802,10 @@ private:
     int64_t Value;
     if (parseOptionalInt(Value))
       return getAffineConstantExpr(Ctx, Value);
-    std::string Id = parseBareId();
+    std::string_view Id = parseBareId();
     auto It = Names.find(Id);
     if (It == Names.end()) {
-      error("unknown affine id '" + Id + "'");
+      error("unknown affine id '" + std::string(Id) + "'");
       return AffineExpr();
     }
     return It->second;
@@ -761,7 +820,7 @@ private:
   Operation *parseOperation(Block *DestBlock) {
     skipWs();
     // Optional result list.
-    std::vector<std::string> ResultNames;
+    std::vector<std::string_view> ResultNames;
     if (peek() == '%') {
       do {
         skipWs();
@@ -769,16 +828,17 @@ private:
           error("expected result name");
           return nullptr;
         }
-        advance();
+        ++Pos;
         ResultNames.push_back(parseSuffixId());
       } while (tryConsume(","));
       if (failed(expect("=")))
         return nullptr;
     }
 
-    unsigned OpLine = Line, OpCol = Col;
-    std::string OpName;
-    if (failed(parseString(OpName)))
+    Location OpLoc = locAt(Pos);
+    std::string_view OpName;
+    std::string DecodedName;
+    if (failed(parseString(OpName, DecodedName)))
       return nullptr;
 
     // Operands.
@@ -792,11 +852,11 @@ private:
           error("expected operand");
           return nullptr;
         }
-        advance();
-        std::string Name = parseSuffixId();
+        ++Pos;
+        std::string_view Name = parseSuffixId();
         Value Operand = lookupValue(Name);
         if (!Operand) {
-          error("use of undefined value '%" + Name + "'");
+          error("use of undefined value '%" + std::string(Name) + "'");
           return nullptr;
         }
         Operands.push_back(Operand);
@@ -806,7 +866,7 @@ private:
     }
 
     // Successors.
-    std::vector<std::string> SuccessorLabels;
+    std::vector<std::string_view> SuccessorLabels;
     if (tryConsume("[")) {
       do {
         skipWs();
@@ -814,7 +874,7 @@ private:
           error("expected block label");
           return nullptr;
         }
-        advance();
+        ++Pos;
         SuccessorLabels.push_back(parseSuffixId());
       } while (tryConsume(","));
       if (failed(expect("]")))
@@ -827,8 +887,7 @@ private:
     bool HasRegions = false;
     if (peek() == '(') {
       size_t Ahead = Pos + 1;
-      while (Ahead < Source.size() &&
-             std::isspace(static_cast<unsigned char>(Source[Ahead])))
+      while (Ahead < Source.size() && isSpace(Source[Ahead]))
         ++Ahead;
       HasRegions = Ahead < Source.size() && Source[Ahead] == '{';
     }
@@ -855,7 +914,7 @@ private:
     if (tryConsume("{")) {
       if (!tryConsume("}")) {
         do {
-          std::string Name = parseBareId();
+          std::string_view Name = parseBareId();
           if (Name.empty()) {
             error("expected attribute name");
             return nullptr;
@@ -868,23 +927,32 @@ private:
           } else {
             Value = UnitAttr::get(Ctx);
           }
-          Attrs.push_back({Name, Value});
+          Attrs.push_back({std::string(Name), Value});
         } while (tryConsume(","));
         if (failed(expect("}")))
           return nullptr;
       }
     }
 
-    // Type signature.
+    // Type signature. Operand types are checked against the operands as
+    // they are read; the first mismatch is reported once the count is known
+    // to agree.
     if (failed(expect(":")) || failed(expect("(")))
       return nullptr;
-    std::vector<Type> OperandTypes;
+    size_t NumOperandTypes = 0;
+    Type MismatchedType;
+    size_t MismatchIndex = 0;
     if (!tryConsume(")")) {
       do {
         Type Ty = parseType();
         if (!Ty)
           return nullptr;
-        OperandTypes.push_back(Ty);
+        if (!MismatchedType && NumOperandTypes < Operands.size() &&
+            Operands[NumOperandTypes].getType() != Ty) {
+          MismatchedType = Ty;
+          MismatchIndex = NumOperandTypes;
+        }
+        ++NumOperandTypes;
       } while (tryConsume(","));
       if (failed(expect(")")))
         return nullptr;
@@ -894,7 +962,7 @@ private:
     std::vector<Type> ResultTypes;
     skipWs();
     if (peek() == '(') {
-      advance();
+      ++Pos;
       if (!tryConsume(")")) {
         do {
           Type Ty = parseType();
@@ -912,21 +980,18 @@ private:
       ResultTypes.push_back(Ty);
     }
 
-    Location OpLoc = Location::get(BufferName, OpLine, OpCol);
-    if (OperandTypes.size() != Operands.size()) {
-      Ctx.emitError(OpLoc) << "operand type count (" << OperandTypes.size()
+    if (NumOperandTypes != Operands.size()) {
+      Ctx.emitError(OpLoc) << "operand type count (" << NumOperandTypes
                            << ") does not match operand count ("
                            << Operands.size() << ")";
       return nullptr;
     }
-    for (unsigned I = 0; I < Operands.size(); ++I) {
-      if (Operands[I].getType() != OperandTypes[I]) {
-        Ctx.emitError(OpLoc)
-            << "operand " << I << " type mismatch: value has "
-            << Operands[I].getType().str() << ", signature says "
-            << OperandTypes[I].str();
-        return nullptr;
-      }
+    if (MismatchedType) {
+      Ctx.emitError(OpLoc)
+          << "operand " << MismatchIndex << " type mismatch: value has "
+          << Operands[MismatchIndex].getType().str() << ", signature says "
+          << MismatchedType.str();
+      return nullptr;
     }
     if (ResultTypes.size() != ResultNames.size()) {
       Ctx.emitError(OpLoc) << "result type count (" << ResultTypes.size()
@@ -935,23 +1000,26 @@ private:
       return nullptr;
     }
 
-    OperationState State(OpLoc, OpName);
-    State.Operands = std::move(Operands);
-    State.ResultTypes = std::move(ResultTypes);
-    State.Attributes = std::move(Attrs);
-    State.NumRegions = ParsedRegions.size();
-    for (const std::string &Label : SuccessorLabels) {
-      assert(!RegionStack.empty() && "successors outside a region");
-      State.Successors.push_back(getOrCreateBlock(*RegionStack.back(), Label));
-    }
-
-    if (!Ctx.getOrCreateOpInfo(OpName)) {
+    const OpInfo *Info = Ctx.getOrCreateOpInfo(OpName);
+    if (!Info) {
       Ctx.emitError(OpLoc) << "unregistered operation '" << OpName
                            << "' in a dialect that does not allow unknown ops";
       return nullptr;
     }
 
-    Operation *Op = Operation::create(Ctx, State);
+    // create(Ctx, Info, State) takes the name from Info.
+    OperationState State(OpLoc, {});
+    State.Operands = std::move(Operands);
+    State.ResultTypes = std::move(ResultTypes);
+    State.Attributes = std::move(Attrs);
+    State.NumRegions = ParsedRegions.size();
+    for (std::string_view Label : SuccessorLabels) {
+      assert(!RegionStack.empty() && "successors outside a region");
+      State.Successors.push_back(getOrCreateBlock(*RegionStack.back(), Label));
+    }
+
+    Operation *Op = Operation::create(Ctx, Info, std::move(State));
+    ++NumOps;
     for (unsigned I = 0; I < ParsedRegions.size(); ++I)
       Op->getRegion(I).takeBody(*ParsedRegions[I]);
 
@@ -974,23 +1042,21 @@ private:
     // An unlabeled entry block is allowed when the region is non-empty and
     // does not start with a label.
     if (peek() != '}' && peek() != '^') {
-      Block *Entry = TheRegion.addBlock();
-      Scope.Labels["<entry>"] = Entry;
-      if (failed(parseBlockBody(Entry)))
+      if (failed(parseBlockBody(TheRegion.addBlock())))
         return cleanupRegion();
     }
     while (true) {
       skipWs();
       if (peek() == '}') {
-        advance();
+        ++Pos;
         break;
       }
       if (peek() != '^') {
         error("expected block label or '}'");
         return cleanupRegion();
       }
-      advance();
-      std::string Label = parseSuffixId();
+      ++Pos;
+      std::string_view Label = parseSuffixId();
       Block *B = defineBlock(Scope, Label);
       if (!B)
         return cleanupRegion();
@@ -1003,8 +1069,8 @@ private:
               error("expected block argument");
               return cleanupRegion();
             }
-            advance();
-            std::string ArgName = parseSuffixId();
+            ++Pos;
+            std::string_view ArgName = parseSuffixId();
             if (failed(expect(":")))
               return cleanupRegion();
             Type ArgTy = parseType();
@@ -1026,7 +1092,7 @@ private:
     RegionStack.pop_back();
     if (!Scope.Pending.empty()) {
       return error("use of undefined block label '^" +
-                   Scope.Pending.begin()->first + "'");
+                   std::string(Scope.Pending.begin()->first) + "'");
     }
     return success();
   }
@@ -1049,12 +1115,18 @@ private:
 
   Context &Ctx;
   std::string_view Source;
-  std::string BufferName;
+  /// The buffer name, interned once; op locations only add line and column.
+  Location FileLoc;
   size_t Pos = 0;
-  unsigned Line = 1;
-  unsigned Col = 1;
+  /// locAt's memo: the line number and line start of byte LineCursor.
+  size_t LineCursor = 0;
+  unsigned CursorLine = 1;
+  size_t CursorLineStart = 0;
+  int64_t NumOps = 0;
 
-  std::vector<std::map<std::string, Value>> ValueScopes;
+  std::vector<ValueBinding> Bindings;
+  std::vector<size_t> ScopeStarts;
+  std::unordered_map<std::string_view, uint32_t> Visible;
   std::vector<RegionScope *> RegionStack;
 };
 
@@ -1062,8 +1134,12 @@ private:
 
 OwningOpRef tdl::parseSourceString(Context &Ctx, std::string_view Source,
                                    std::string_view BufferName) {
+  telemetry::ScopedSpan Span("ir:parse", "ir");
   Parser TheParser(Ctx, Source, BufferName);
-  return OwningOpRef(TheParser.parseTopLevelOp());
+  OwningOpRef Result(TheParser.parseTopLevelOp());
+  static telemetry::Counter &ParsedOps = telemetry::counter("ir.parse.ops");
+  ParsedOps.add(TheParser.getNumOps());
+  return Result;
 }
 
 Type tdl::parseTypeString(Context &Ctx, std::string_view Source) {

@@ -10,7 +10,7 @@
 #include "support/Hashing.h"
 #include "support/Stream.h"
 
-#include <memory>
+#include <string_view>
 
 using namespace tdl;
 
@@ -40,29 +40,39 @@ void addTypes(StableHasher &H, const std::vector<Type> &Types) {
     H.add(Ty.getHash());
 }
 
+/// A kind without parameters (index, none, the transform handle types).
 struct SimpleTypeStorage : TypeStorage {
-  SimpleTypeStorage(Kind K, Context *Ctx) : TypeStorage(K, Ctx) {
-    Hash = typeHasher(K).get();
-  }
+  using KeyTy = Kind;
+  static uint64_t hashKey(Kind K) { return typeHasher(K).get(); }
+  bool operator==(Kind K) const { return TypeKind == K; }
+  SimpleTypeStorage(Context *Ctx, Kind K, uint64_t Hash)
+      : TypeStorage(K, Ctx, Hash) {}
 };
 
+/// Integer and float types: a kind and a bit width.
 struct IntWidthTypeStorage : TypeStorage {
-  IntWidthTypeStorage(Kind K, Context *Ctx, unsigned Width)
-      : TypeStorage(K, Ctx), Width(Width) {
-    Hash = typeHasher(K).add(Width).get();
+  struct KeyTy {
+    Kind K;
+    unsigned Width;
+  };
+  static uint64_t hashKey(const KeyTy &Key) {
+    return typeHasher(Key.K).add(Key.Width).get();
   }
+  bool operator==(const KeyTy &Key) const {
+    return TypeKind == Key.K && Width == Key.Width;
+  }
+  IntWidthTypeStorage(Context *Ctx, const KeyTy &Key, uint64_t Hash)
+      : TypeStorage(Key.K, Ctx, Hash), Width(Key.Width) {}
   unsigned Width;
 };
 
 struct ShapedTypeStorage : TypeStorage {
-  ShapedTypeStorage(Kind K, Context *Ctx, std::vector<int64_t> Shape,
-                    Type ElementType)
-      : TypeStorage(K, Ctx), Shape(std::move(Shape)),
-        ElementType(ElementType) {
-    Hash = shapeHasher().get();
-  }
-  StableHasher shapeHasher() const {
-    StableHasher H = typeHasher(TypeKind);
+  ShapedTypeStorage(Kind K, Context *Ctx, uint64_t Hash,
+                    const std::vector<int64_t> &Shape, Type ElementType)
+      : TypeStorage(K, Ctx, Hash), Shape(Shape), ElementType(ElementType) {}
+  static StableHasher shapeHasher(Kind K, const std::vector<int64_t> &Shape,
+                                  Type ElementType) {
+    StableHasher H = typeHasher(K);
     addInts(H, Shape);
     H.add(ElementType.getHash());
     return H;
@@ -71,41 +81,80 @@ struct ShapedTypeStorage : TypeStorage {
   Type ElementType;
 };
 
-struct MemRefTypeStorage : ShapedTypeStorage {
-  MemRefTypeStorage(Context *Ctx, std::vector<int64_t> Shape, Type ElementType,
-                    bool HasLayout, int64_t Offset,
-                    std::vector<int64_t> Strides)
-      : ShapedTypeStorage(Kind::MemRef, Ctx, std::move(Shape), ElementType),
-        HasLayout(HasLayout), Offset(Offset), Strides(std::move(Strides)) {
-    StableHasher H = shapeHasher();
-    H.add(HasLayout).add(static_cast<uint64_t>(Offset));
-    addInts(H, this->Strides);
-    Hash = H.get();
+struct TensorTypeStorage : ShapedTypeStorage {
+  struct KeyTy {
+    const std::vector<int64_t> &Shape;
+    Type ElementType;
+  };
+  static uint64_t hashKey(const KeyTy &Key) {
+    return shapeHasher(Kind::Tensor, Key.Shape, Key.ElementType).get();
   }
+  bool operator==(const KeyTy &Key) const {
+    return ElementType == Key.ElementType && Shape == Key.Shape;
+  }
+  TensorTypeStorage(Context *Ctx, const KeyTy &Key, uint64_t Hash)
+      : ShapedTypeStorage(Kind::Tensor, Ctx, Hash, Key.Shape,
+                          Key.ElementType) {}
+};
+
+/// A memref with or without an explicit strided layout; an identity memref
+/// and a strided one with identity strides are distinct types.
+struct MemRefTypeStorage : ShapedTypeStorage {
+  struct KeyTy {
+    const std::vector<int64_t> &Shape;
+    Type ElementType;
+    bool HasLayout;
+    int64_t Offset;
+    const std::vector<int64_t> &Strides;
+  };
+  static uint64_t hashKey(const KeyTy &Key) {
+    StableHasher H = shapeHasher(Kind::MemRef, Key.Shape, Key.ElementType);
+    H.add(Key.HasLayout).add(static_cast<uint64_t>(Key.Offset));
+    addInts(H, Key.Strides);
+    return H.get();
+  }
+  bool operator==(const KeyTy &Key) const {
+    return ElementType == Key.ElementType && HasLayout == Key.HasLayout &&
+           Offset == Key.Offset && Shape == Key.Shape &&
+           Strides == Key.Strides;
+  }
+  MemRefTypeStorage(Context *Ctx, const KeyTy &Key, uint64_t Hash)
+      : ShapedTypeStorage(Kind::MemRef, Ctx, Hash, Key.Shape, Key.ElementType),
+        HasLayout(Key.HasLayout), Offset(Key.Offset), Strides(Key.Strides) {}
   bool HasLayout;
   int64_t Offset;
   std::vector<int64_t> Strides;
 };
 
 struct FunctionTypeStorage : TypeStorage {
-  FunctionTypeStorage(Context *Ctx, std::vector<Type> Inputs,
-                      std::vector<Type> Results)
-      : TypeStorage(Kind::Function, Ctx), Inputs(std::move(Inputs)),
-        Results(std::move(Results)) {
+  struct KeyTy {
+    const std::vector<Type> &Inputs;
+    const std::vector<Type> &Results;
+  };
+  static uint64_t hashKey(const KeyTy &Key) {
     StableHasher H = typeHasher(Kind::Function);
-    addTypes(H, this->Inputs);
-    addTypes(H, this->Results);
-    Hash = H.get();
+    addTypes(H, Key.Inputs);
+    addTypes(H, Key.Results);
+    return H.get();
   }
+  bool operator==(const KeyTy &Key) const {
+    return Inputs == Key.Inputs && Results == Key.Results;
+  }
+  FunctionTypeStorage(Context *Ctx, const KeyTy &Key, uint64_t Hash)
+      : TypeStorage(Kind::Function, Ctx, Hash), Inputs(Key.Inputs),
+        Results(Key.Results) {}
   std::vector<Type> Inputs;
   std::vector<Type> Results;
 };
 
 struct TransformOpTypeStorage : TypeStorage {
-  TransformOpTypeStorage(Context *Ctx, std::string OpName)
-      : TypeStorage(Kind::TransformOp, Ctx), OpName(std::move(OpName)) {
-    Hash = typeHasher(Kind::TransformOp).addBytes(this->OpName).get();
+  using KeyTy = std::string_view;
+  static uint64_t hashKey(std::string_view OpName) {
+    return typeHasher(Kind::TransformOp).addBytes(OpName).get();
   }
+  bool operator==(std::string_view Key) const { return OpName == Key; }
+  TransformOpTypeStorage(Context *Ctx, std::string_view OpName, uint64_t Hash)
+      : TypeStorage(Kind::TransformOp, Ctx, Hash), OpName(OpName) {}
   std::string OpName;
 };
 
@@ -115,28 +164,21 @@ struct TransformOpTypeStorage : TypeStorage {
 // Factories
 //===----------------------------------------------------------------------===//
 
-static Type uniqueSimple(Context &Ctx, TypeStorage::Kind Kind,
-                         const char *Key) {
-  return Type(Ctx.uniqueType(Key, [&] {
-    return std::make_unique<SimpleTypeStorage>(Kind, &Ctx);
-  }));
+static Type getSimple(Context &Ctx, TypeStorage::Kind Kind) {
+  return Type(Ctx.getStorage<SimpleTypeStorage>(Kind));
 }
 
 IndexType IndexType::get(Context &Ctx) {
-  return uniqueSimple(Ctx, TypeStorage::Kind::Index, "index")
-      .cast<IndexType>();
+  return getSimple(Ctx, TypeStorage::Kind::Index).cast<IndexType>();
 }
 
 NoneType NoneType::get(Context &Ctx) {
-  return uniqueSimple(Ctx, TypeStorage::Kind::None, "none").cast<NoneType>();
+  return getSimple(Ctx, TypeStorage::Kind::None).cast<NoneType>();
 }
 
 IntegerType IntegerType::get(Context &Ctx, unsigned Width) {
-  std::string Key = "i" + std::to_string(Width);
-  return IntegerType(Ctx.uniqueType(Key, [&] {
-    return std::make_unique<IntWidthTypeStorage>(TypeStorage::Kind::Integer,
-                                                 &Ctx, Width);
-  }));
+  return IntegerType(Ctx.getStorage<IntWidthTypeStorage>(
+      {TypeStorage::Kind::Integer, Width}));
 }
 
 unsigned IntegerType::getWidth() const {
@@ -145,50 +187,27 @@ unsigned IntegerType::getWidth() const {
 
 FloatType FloatType::get(Context &Ctx, unsigned Width) {
   assert((Width == 32 || Width == 64) && "only f32/f64 supported");
-  std::string Key = "f" + std::to_string(Width);
-  return FloatType(Ctx.uniqueType(Key, [&] {
-    return std::make_unique<IntWidthTypeStorage>(TypeStorage::Kind::Float,
-                                                 &Ctx, Width);
-  }));
+  return FloatType(
+      Ctx.getStorage<IntWidthTypeStorage>({TypeStorage::Kind::Float, Width}));
 }
 
 unsigned FloatType::getWidth() const {
   return static_cast<const IntWidthTypeStorage *>(Impl)->Width;
 }
 
-static void appendShapeKey(std::string &Key, const std::vector<int64_t> &Dims) {
-  for (int64_t Dim : Dims) {
-    Key += std::to_string(Dim);
-    Key += 'x';
-  }
-}
-
 MemRefType MemRefType::get(Context &Ctx, std::vector<int64_t> Shape,
                            Type ElementType) {
-  std::string Key = "memref|";
-  appendShapeKey(Key, Shape);
-  Key += ElementType.str();
-  return MemRefType(Ctx.uniqueType(Key, [&] {
-    return std::make_unique<MemRefTypeStorage>(&Ctx, std::move(Shape),
-                                               ElementType, /*HasLayout=*/false,
-                                               0, std::vector<int64_t>());
-  }));
+  std::vector<int64_t> NoStrides;
+  return MemRefType(Ctx.getStorage<MemRefTypeStorage>(
+      {Shape, ElementType, /*HasLayout=*/false, 0, NoStrides}));
 }
 
 MemRefType MemRefType::getStrided(Context &Ctx, std::vector<int64_t> Shape,
                                   Type ElementType, int64_t Offset,
                                   std::vector<int64_t> Strides) {
   assert(Strides.size() == Shape.size() && "stride per dimension required");
-  std::string Key = "memref|";
-  appendShapeKey(Key, Shape);
-  Key += ElementType.str();
-  Key += "|o" + std::to_string(Offset) + "|s";
-  appendShapeKey(Key, Strides);
-  return MemRefType(Ctx.uniqueType(Key, [&] {
-    return std::make_unique<MemRefTypeStorage>(&Ctx, std::move(Shape),
-                                               ElementType, /*HasLayout=*/true,
-                                               Offset, std::move(Strides));
-  }));
+  return MemRefType(Ctx.getStorage<MemRefTypeStorage>(
+      {Shape, ElementType, /*HasLayout=*/true, Offset, Strides}));
 }
 
 bool MemRefType::hasExplicitLayout() const {
@@ -218,13 +237,7 @@ std::vector<int64_t> MemRefType::getIdentityStrides() const {
 
 TensorType TensorType::get(Context &Ctx, std::vector<int64_t> Shape,
                            Type ElementType) {
-  std::string Key = "tensor|";
-  appendShapeKey(Key, Shape);
-  Key += ElementType.str();
-  return TensorType(Ctx.uniqueType(Key, [&] {
-    return std::make_unique<ShapedTypeStorage>(
-        TypeStorage::Kind::Tensor, &Ctx, std::move(Shape), ElementType);
-  }));
+  return TensorType(Ctx.getStorage<TensorTypeStorage>({Shape, ElementType}));
 }
 
 const std::vector<int64_t> &ShapedType::getShape() const {
@@ -256,16 +269,7 @@ int64_t ShapedType::getNumElements() const {
 
 FunctionType FunctionType::get(Context &Ctx, std::vector<Type> Inputs,
                                std::vector<Type> Results) {
-  std::string Key = "func|";
-  for (Type Ty : Inputs)
-    Key += Ty.str() + ",";
-  Key += "->";
-  for (Type Ty : Results)
-    Key += Ty.str() + ",";
-  return FunctionType(Ctx.uniqueType(Key, [&] {
-    return std::make_unique<FunctionTypeStorage>(&Ctx, std::move(Inputs),
-                                                 std::move(Results));
-  }));
+  return FunctionType(Ctx.getStorage<FunctionTypeStorage>({Inputs, Results}));
 }
 
 const std::vector<Type> &FunctionType::getInputs() const {
@@ -277,16 +281,12 @@ const std::vector<Type> &FunctionType::getResults() const {
 }
 
 TransformAnyOpType TransformAnyOpType::get(Context &Ctx) {
-  return uniqueSimple(Ctx, TypeStorage::Kind::TransformAnyOp,
-                      "!transform.any_op")
+  return getSimple(Ctx, TypeStorage::Kind::TransformAnyOp)
       .cast<TransformAnyOpType>();
 }
 
 TransformOpType TransformOpType::get(Context &Ctx, std::string_view OpName) {
-  std::string Key = "!transform.op|" + std::string(OpName);
-  return TransformOpType(Ctx.uniqueType(Key, [&] {
-    return std::make_unique<TransformOpTypeStorage>(&Ctx, std::string(OpName));
-  }));
+  return TransformOpType(Ctx.getStorage<TransformOpTypeStorage>(OpName));
 }
 
 std::string_view TransformOpType::getOpName() const {
@@ -294,14 +294,12 @@ std::string_view TransformOpType::getOpName() const {
 }
 
 TransformParamType TransformParamType::get(Context &Ctx) {
-  return uniqueSimple(Ctx, TypeStorage::Kind::TransformParam,
-                      "!transform.param")
+  return getSimple(Ctx, TypeStorage::Kind::TransformParam)
       .cast<TransformParamType>();
 }
 
 TransformAnyValueType TransformAnyValueType::get(Context &Ctx) {
-  return uniqueSimple(Ctx, TypeStorage::Kind::TransformAnyValue,
-                      "!transform.any_value")
+  return getSimple(Ctx, TypeStorage::Kind::TransformAnyValue)
       .cast<TransformAnyValueType>();
 }
 

@@ -48,15 +48,15 @@ struct TypeStorage {
     TransformAnyValue,
   };
 
-  TypeStorage(Kind K, Context *Ctx) : TypeKind(K), Ctx(Ctx) {}
-  virtual ~TypeStorage() = default;
+  TypeStorage(Kind K, Context *Ctx, uint64_t Hash)
+      : TypeKind(K), Ctx(Ctx), Hash(Hash) {}
 
   Kind TypeKind;
   Context *Ctx;
   /// Stable structural hash of the kind and parameters (nested types by
-  /// their own Hash), set once by the storage constructor — that is, only
-  /// when the uniquer creates the storage.
-  uint64_t Hash = 0;
+  /// their own Hash). The storage class computes it from the parameters
+  /// before the uniquer looks them up, and the uniquer keys by it.
+  uint64_t Hash;
 };
 
 /// Value handle for a uniqued type. Cheap to copy; null-testable.

@@ -6,9 +6,8 @@
 
 #include "support/Diagnostics.h"
 
-#include <deque>
-#include <map>
 #include <mutex>
+#include <set>
 #include <tuple>
 
 using namespace tdl;
@@ -17,85 +16,60 @@ using namespace tdl;
 // Location
 //===----------------------------------------------------------------------===//
 
+/// An interned name: a file name, or the text of a named location.
 struct Location::Storage {
-  enum class Kind { Unknown, FileLineCol, Name } Kind = Kind::Unknown;
-  std::string File;
-  unsigned Line = 0;
-  unsigned Col = 0;
+  bool IsFile;
+  std::string Text;
+
+  bool operator<(const Storage &Other) const {
+    return std::tie(IsFile, Text) < std::tie(Other.IsFile, Other.Text);
+  }
 };
 
 namespace {
-/// Process-wide interning pool for locations. The pool is created lazily via
-/// a function-local static (no global constructor).
-struct LocationPool {
-  std::deque<Location::Storage> Storages;
-  std::map<std::tuple<int, std::string, unsigned, unsigned>,
-           const Location::Storage *>
-      Interned;
-  /// Worker threads intern locations (every InFlightDiagnostic and every op
-  /// created in the parallel commit phase carries one); the deque keeps
-  /// storage addresses stable, the lock keeps the index consistent.
+/// Process-wide name pool, created lazily via a function-local static (no
+/// global constructor). Set nodes never move and are never modified after
+/// insertion, so a Location reads its name without the lock.
+struct NamePool {
+  std::set<Location::Storage> Names;
   std::mutex Lock;
 
-  const Location::Storage *intern(Location::Storage Value) {
-    auto Key = std::make_tuple(static_cast<int>(Value.Kind), Value.File,
-                               Value.Line, Value.Col);
+  const Location::Storage *intern(bool IsFile, std::string_view Text) {
     std::lock_guard<std::mutex> Guard(Lock);
-    auto It = Interned.find(Key);
-    if (It != Interned.end())
-      return It->second;
-    Storages.push_back(std::move(Value));
-    const Location::Storage *Ptr = &Storages.back();
-    Interned.emplace(std::move(Key), Ptr);
-    return Ptr;
+    return &*Names.insert({IsFile, std::string(Text)}).first;
   }
 
-  static LocationPool &instance() {
-    static LocationPool Pool;
+  static NamePool &instance() {
+    static NamePool Pool;
     return Pool;
   }
 };
 } // namespace
 
-Location Location::unknown() {
-  return Location(LocationPool::instance().intern(Storage()));
-}
-
 Location Location::get(std::string_view File, unsigned Line, unsigned Col) {
-  Storage Value;
-  Value.Kind = Storage::Kind::FileLineCol;
-  Value.File = std::string(File);
-  Value.Line = Line;
-  Value.Col = Col;
-  return Location(LocationPool::instance().intern(std::move(Value)));
+  return Location(NamePool::instance().intern(true, File), Line, Col);
 }
 
 Location Location::name(std::string_view Name) {
-  Storage Value;
-  Value.Kind = Storage::Kind::Name;
-  Value.File = std::string(Name);
-  return Location(LocationPool::instance().intern(std::move(Value)));
+  return Location(NamePool::instance().intern(false, Name), 0, 0);
 }
 
-bool Location::isUnknown() const {
-  return Impl->Kind == Storage::Kind::Unknown;
+size_t Location::getNumInternedNames() {
+  NamePool &Pool = NamePool::instance();
+  std::lock_guard<std::mutex> Guard(Pool.Lock);
+  return Pool.Names.size();
 }
 
 std::string Location::str() const {
-  switch (Impl->Kind) {
-  case Storage::Kind::Unknown:
+  if (!Name)
     return "loc(unknown)";
-  case Storage::Kind::FileLineCol: {
-    std::string Result = Impl->File;
-    Result += ":" + std::to_string(Impl->Line);
-    if (Impl->Col)
-      Result += ":" + std::to_string(Impl->Col);
-    return Result;
-  }
-  case Storage::Kind::Name:
-    return "loc(\"" + Impl->File + "\")";
-  }
-  return "loc(unknown)";
+  if (!Name->IsFile)
+    return "loc(\"" + Name->Text + "\")";
+  std::string Result = Name->Text;
+  Result += ":" + std::to_string(Line);
+  if (Col)
+    Result += ":" + std::to_string(Col);
+  return Result;
 }
 
 //===----------------------------------------------------------------------===//

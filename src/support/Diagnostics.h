@@ -25,30 +25,51 @@
 
 namespace tdl {
 
-/// An immutable, cheaply copyable source location. Locations are interned in
-/// a process-wide pool; equality is pointer equality.
+/// An immutable, cheaply copyable source location: an interned file (or
+/// construct) name plus a line and column. Only the name is interned, in a
+/// process-wide pool, so the pool grows with the number of distinct names
+/// and never with the number of positions; equality compares all three.
 class Location {
 public:
   /// Returns the unknown location.
-  static Location unknown();
-  /// Returns a file:line:col location.
+  static Location unknown() { return Location(); }
+  /// Returns a file:line:col location (interns \p File).
   static Location get(std::string_view File, unsigned Line, unsigned Col = 0);
   /// Returns a named location (e.g. the name of a generated construct).
   static Location name(std::string_view Name);
 
-  bool isUnknown() const;
+  /// Returns the location at \p Line:\p Col in this location's file without
+  /// interning anything; the parser interns its buffer name once and calls
+  /// this per operation.
+  Location withPosition(unsigned NewLine, unsigned NewCol) const {
+    Location Result = *this;
+    Result.Line = NewLine;
+    Result.Col = NewCol;
+    return Result;
+  }
+
+  bool isUnknown() const { return Name == nullptr; }
   /// Renders the location as text, e.g. "file.mlir:3:7" or "loc(\"name\")".
   std::string str() const;
 
-  bool operator==(const Location &Other) const { return Impl == Other.Impl; }
-  bool operator!=(const Location &Other) const { return Impl != Other.Impl; }
+  /// Number of distinct names interned so far, process-wide.
+  static size_t getNumInternedNames();
+
+  bool operator==(const Location &Other) const {
+    return Name == Other.Name && Line == Other.Line && Col == Other.Col;
+  }
+  bool operator!=(const Location &Other) const { return !(*this == Other); }
 
   struct Storage;
 
 private:
-  explicit Location(const Storage *Impl) : Impl(Impl) {}
+  Location() = default;
+  Location(const Storage *Name, unsigned Line, unsigned Col)
+      : Name(Name), Line(Line), Col(Col) {}
 
-  const Storage *Impl;
+  const Storage *Name = nullptr;
+  unsigned Line = 0;
+  unsigned Col = 0;
 };
 
 /// The severity of a diagnostic.

@@ -121,6 +121,26 @@ TEST_F(ForeachMatchTest, MatchOperationNameMismatchIsSilenceable) {
       succeeded(applyTransforms(Payload2.get(), Script.get(), Options)));
 }
 
+TEST_F(ForeachMatchTest, MatchOperationNameRejectsNonStringNames) {
+  OwningOpRef Payload = makePayload();
+  OwningOpRef Script = makeScriptModule(R"(
+    "transform.named_sequence"() ({
+    ^bb0(%root: !transform.any_op):
+      %loops = "transform.match.op"(%root) {op_name = "scf.for"}
+        : (!transform.any_op) -> (!transform.any_op)
+      %checked = "transform.match.operation_name"(%loops)
+        {op_names = ["scf.for", 3 : index]}
+        : (!transform.any_op) -> (!transform.any_op)
+      "transform.yield"() : () -> ()
+    }) {sym_name = "__transform_main"} : () -> ()
+  )");
+  ASSERT_TRUE(Payload);
+  ASSERT_TRUE(Script);
+  ScopedDiagnosticCapture Capture(Ctx.getDiagEngine());
+  EXPECT_TRUE(failed(applyTransforms(Payload.get(), Script.get())));
+  EXPECT_TRUE(Capture.contains("'op_names' must contain strings"));
+}
+
 TEST_F(ForeachMatchTest, MatchAttrAndOperandsAndRankPredicates) {
   OwningOpRef Payload = makePayload();
   // scf.for has 3 operands; memref.load reads a rank-2 memref; the func

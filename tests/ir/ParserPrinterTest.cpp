@@ -154,6 +154,94 @@ TEST_F(ParserPrinterTest, UnknownOpRejected) {
   EXPECT_TRUE(Capture.contains("unregistered"));
 }
 
+TEST_F(ParserPrinterTest, OuterValuesAreVisibleInNestedRegions) {
+  expectRoundTrip(R"(
+    "builtin.module"() ({
+      "func.func"() ({
+      ^bb0(%arg: index):
+        %c = "arith.constant"() {value = 1 : index} : () -> (index)
+        "scf.for"(%c, %arg, %c) ({
+        ^bb1(%i: index):
+          %s = "arith.addi"(%i, %c) : (index, index) -> (index)
+          "scf.for"(%c, %s, %arg) ({
+          ^bb2(%j: index):
+            %t = "arith.addi"(%j, %s) : (index, index) -> (index)
+            "scf.yield"() : () -> ()
+          }) : (index, index, index) -> ()
+          "scf.yield"() : () -> ()
+        }) : (index, index, index) -> ()
+        "func.return"() : () -> ()
+      }) {sym_name = "f", function_type = (index) -> ()} : () -> ()
+    }) : () -> ()
+  )");
+}
+
+TEST_F(ParserPrinterTest, RegionValuesEndWithTheRegion) {
+  ScopedDiagnosticCapture Capture(Ctx.getDiagEngine());
+  // %inner is defined in the loop body and used after the loop.
+  OwningOpRef After = parseSourceString(Ctx, R"("func.func"() ({
+  %c = "arith.constant"() {value = 1 : index} : () -> (index)
+  "scf.for"(%c, %c, %c) ({
+  ^bb0(%i: index):
+    %inner = "arith.addi"(%i, %i) : (index, index) -> (index)
+    "scf.yield"() : () -> ()
+  }) : (index, index, index) -> ()
+  %bad = "arith.addi"(%inner, %c) : (index, index) -> (index)
+}) : () -> ())",
+                                          "scope.mlir");
+  EXPECT_FALSE(After);
+  ASSERT_EQ(Capture.getDiagnostics().size(), 1u);
+  EXPECT_EQ(Capture.getDiagnostics()[0].str(),
+            "scope.mlir:8:29: error: use of undefined value '%inner'");
+}
+
+TEST_F(ParserPrinterTest, SiblingRegionsDoNotShareValues) {
+  ScopedDiagnosticCapture Capture(Ctx.getDiagEngine());
+  OwningOpRef Sibling = parseSourceString(Ctx, R"("func.func"() ({
+^bb0(%cond: i1):
+  "scf.if"(%cond) ({
+    %then = "arith.constant"() {value = 1 : index} : () -> (index)
+    "scf.yield"() : () -> ()
+  }, {
+    %else = "arith.addi"(%then, %then) : (index, index) -> (index)
+    "scf.yield"() : () -> ()
+  }) : (i1) -> ()
+}) : () -> ())",
+                                            "sibling.mlir");
+  EXPECT_FALSE(Sibling);
+  ASSERT_EQ(Capture.getDiagnostics().size(), 1u);
+  EXPECT_EQ(Capture.getDiagnostics()[0].str(),
+            "sibling.mlir:7:31: error: use of undefined value '%then'");
+}
+
+TEST_F(ParserPrinterTest, UndefinedBlockLabelKeepsItsDiagnostic) {
+  ScopedDiagnosticCapture Capture(Ctx.getDiagEngine());
+  OwningOpRef Bad = parseSourceString(Ctx, R"("func.func"() ({
+^entry:
+  "cf.br"() [^zeta] : () -> ()
+^mid:
+  "cf.br"() [^alpha] : () -> ()
+}) : () -> ())",
+                                        "labels.mlir");
+  EXPECT_FALSE(Bad);
+  ASSERT_EQ(Capture.getDiagnostics().size(), 1u);
+  // The first undefined label in sorted order, reported after the region.
+  EXPECT_EQ(Capture.getDiagnostics()[0].str(),
+            "labels.mlir:6:2: error: use of undefined block label '^alpha'");
+}
+
+TEST_F(ParserPrinterTest, BufferNameIsInternedOnce) {
+  size_t NamesBefore = Location::getNumInternedNames();
+  for (int I = 0; I < 1000; ++I) {
+    std::string Text = "\"func.return\"() {value = " + std::to_string(I) +
+                       " : index} : () -> ()";
+    OwningOpRef Op = parseSourceString(Ctx, Text, "one-buffer-name.mlir");
+    ASSERT_TRUE(Op);
+    EXPECT_EQ(Op->getLoc().str(), "one-buffer-name.mlir:1:1");
+  }
+  EXPECT_EQ(Location::getNumInternedNames(), NamesBefore + 1);
+}
+
 TEST_F(ParserPrinterTest, TypeStringParsing) {
   EXPECT_EQ(parseTypeString(Ctx, "memref<4x?xf32>").str(), "memref<4x?xf32>");
   EXPECT_EQ(parseTypeString(Ctx, "(index) -> (f32, f64)").str(),
