@@ -10,7 +10,9 @@
 /// a structured payload, then both forms — the original scf nest and the
 /// tuned branch-form CFG — executed through exec::Executor. Reports the
 /// per-run cost of each form, checks they compute the same values, and
-/// (with TDL_BENCH_JSON_DIR set) drops the numbers as BENCH_*.json.
+/// (with TDL_BENCH_JSON_DIR set) drops the numbers as BENCH_*.json. The
+/// tuned config is picked by wall time, so the deterministic `exec.*`
+/// counters come from both forms at one fixed tile config instead.
 ///
 ///   ./build/bench_deep_pipeline [--smoke]
 ///
@@ -22,6 +24,8 @@
 #include "exec/Executor.h"
 #include "ir/Parser.h"
 #include "ir/Printer.h"
+#include "loops/LoopUtils.h"
+#include "lowering/Passes.h"
 #include "strategy/StrategyManager.h"
 #include "support/Stream.h"
 
@@ -104,8 +108,9 @@ const char *DeepLoweringLibrary = R"("builtin.module"() ({
 )";
 
 /// Runs @square_all on a fresh pattern-filled NxN buffer; returns the
-/// mutated buffer for cross-form comparison.
-exec::Buffer runSquareAll(Operation *Module, int N) {
+/// mutated buffer for cross-form comparison and, in \p Ops, the executed
+/// op count.
+exec::Buffer runSquareAll(Operation *Module, int N, int64_t *Ops = nullptr) {
   exec::Buffer Mem = exec::Buffer::alloc({N, N});
   for (int I = 0; I < N; ++I)
     for (int J = 0; J < N; ++J)
@@ -115,7 +120,26 @@ exec::Buffer runSquareAll(Operation *Module, int N) {
     std::fprintf(stderr, "square_all execution failed\n");
     std::exit(1);
   }
+  if (Ops)
+    *Ops = Exec.getLastOpCount();
   return Mem;
+}
+
+/// Tiles the outermost loop of @square_all in \p Module by \p Tiles and,
+/// with \p Lower, converts the result to branch form.
+bool tileAndLower(Operation *Module, const std::vector<int64_t> &Tiles,
+                  bool Lower) {
+  Operation *Func = nullptr;
+  Module->walk([&](Operation *Op) {
+    if (Op->getName() == "func.func")
+      Func = Op;
+  });
+  Operation *Outer = nullptr;
+  for (Operation *Op : Func->getRegion(0).front())
+    if (!Outer && Op->getName() == "scf.for")
+      Outer = Op;
+  return Outer && succeeded(loops::tileLoopNest(Outer, Tiles)) &&
+         (!Lower || succeeded(convertScfToCf(Func)));
 }
 
 } // namespace
@@ -137,10 +161,29 @@ int main(int argc, char **argv) {
   std::string PayloadText = makePayload(N);
   OwningOpRef Structured = parseSourceString(Ctx, PayloadText, "structured");
   OwningOpRef Lowered = parseSourceString(Ctx, PayloadText, "lowered");
-  if (!Structured || !Lowered) {
+  OwningOpRef FixedStructured = parseSourceString(Ctx, PayloadText, "fixed");
+  OwningOpRef FixedLowered = parseSourceString(Ctx, PayloadText, "fixed");
+  if (!Structured || !Lowered || !FixedStructured || !FixedLowered) {
     std::fprintf(stderr, "payload parse failed\n");
     return 1;
   }
+
+  // Deterministic work: both forms at one fixed tile config, counted
+  // before any tuning touches the executor.
+  const std::vector<int64_t> FixedTiles = {4, 8};
+  if (!tileAndLower(FixedStructured.get(), FixedTiles, false) ||
+      !tileAndLower(FixedLowered.get(), FixedTiles, true)) {
+    std::fprintf(stderr, "fixed-config tiling or lowering failed\n");
+    return 1;
+  }
+  telemetry::MetricsWindow FixedWindow;
+  int64_t FixedStructuredOps = 0, FixedLoweredOps = 0;
+  runSquareAll(FixedStructured.get(), N, &FixedStructuredOps);
+  runSquareAll(FixedLowered.get(), N, &FixedLoweredOps);
+  telemetry::MetricsSnapshot FixedCounters = FixedWindow.diff();
+  std::printf("fixed config [4, 8] executed ops: structured %lld, lowered "
+              "%lld\n",
+              (long long)FixedStructuredOps, (long long)FixedLoweredOps);
 
   std::string Dir = "/tmp/tdl_bench_deep_" + std::to_string(::getpid());
   ::mkdir(Dir.c_str(), 0755);
@@ -214,7 +257,13 @@ int main(int argc, char **argv) {
   Report.metric("structured_us_per_run", *StructuredCost * 1e6);
   Report.metric("lowered_us_per_run", *LoweredCost * 1e6);
   Report.metric("lowered_over_structured", *LoweredCost / *StructuredCost);
-  Report.addMetricsSnapshot();
+  Report.metric("fixed_tile_i", (long long)FixedTiles[0]);
+  Report.metric("fixed_tile_j", (long long)FixedTiles[1]);
+  Report.metric("exec.fixed_structured_ops", (long long)FixedStructuredOps);
+  Report.metric("exec.fixed_lowered_ops", (long long)FixedLoweredOps);
+  // Only the fixed-config window: the tuner's executor runs vary with the
+  // configs that wall time picks.
+  Report.addMetricsSnapshot(FixedCounters);
 
   std::remove(LibPath.c_str());
   ::rmdir(Dir.c_str());

@@ -641,16 +641,11 @@ static Operation *commitPartitionKey(Operation *Candidate,
 /// instead of by name, so contracts registered after startup are covered
 /// without pinning local structured transforms that merely *have* a
 /// phase-ordering contract (loop.unroll, loop.tile, vectorize, ...).
-static std::set<std::string> serialOnlyTransformOps() {
-  return {
-      "transform.to_library",
-      "transform.print",
-      "transform.alternatives",
-      "transform.include",
-      "transform.foreach_match",
-      "transform.collect_matching",
-  };
-}
+static const std::set<std::string_view> SerialOnlyTransformOps = {
+    "transform.to_library",    "transform.print",
+    "transform.alternatives",  "transform.include",
+    "transform.foreach_match", "transform.collect_matching",
+};
 
 /// The locality dataflow behind the commit-phase conflict analysis. A value
 /// is *bounded* when every payload op it can name is nested in the payload
@@ -662,13 +657,12 @@ static std::set<std::string> serialOnlyTransformOps() {
 /// ResultNestedInOperand metadata the static invalidation analysis trusts.
 /// Returns "" when the block is local, else the reason it is not.
 static std::string analyzeBlockLocality(Block &Body,
-                                        std::set<const ValueImpl *> &Bounded,
-                                        const std::set<std::string> &SerialOps) {
+                                        std::set<const ValueImpl *> &Bounded) {
   for (Operation *BodyOp : Body) {
     std::string_view Name = BodyOp->getName();
     if (Name == "transform.yield")
       continue;
-    if (SerialOps.count(std::string(Name)))
+    if (SerialOnlyTransformOps.count(Name))
       return "op '" + std::string(Name) +
              "' can touch payload outside the partition";
     if (Name == "transform.apply_patterns" && BodyOp->getAttr("matchers"))
@@ -717,7 +711,7 @@ static std::string analyzeBlockLocality(Block &Body,
         Block &Nested = BodyOp->getRegion(0).front();
         for (unsigned A = 0; A < Nested.getNumArguments(); ++A)
           Bounded.insert(Nested.getArgument(A).getImpl());
-        std::string Reason = analyzeBlockLocality(Nested, Bounded, SerialOps);
+        std::string Reason = analyzeBlockLocality(Nested, Bounded);
         if (!Reason.empty())
           return Reason;
       }
@@ -745,8 +739,7 @@ const std::string &MatcherEngine::actionSerialReason(size_t PairIdx) {
     std::set<const ValueImpl *> Bounded;
     for (unsigned A = 0; A < ActionBody.getNumArguments(); ++A)
       Bounded.insert(ActionBody.getArgument(A).getImpl());
-    P.SerialReason =
-        analyzeBlockLocality(ActionBody, Bounded, serialOnlyTransformOps());
+    P.SerialReason = analyzeBlockLocality(ActionBody, Bounded);
   }
   return P.SerialReason;
 }

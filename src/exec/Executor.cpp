@@ -8,12 +8,12 @@
 
 #include "dialect/Dialects.h"
 #include "ir/SymbolTable.h"
+#include "support/Telemetry.h"
 
 #include <algorithm>
 #include <chrono>
-#include <cmath>
-#include <functional>
 #include <map>
+#include <numeric>
 
 using namespace tdl;
 using namespace tdl::exec;
@@ -54,24 +54,15 @@ int64_t Buffer::getNumElements() const {
 }
 
 RuntimeValue RuntimeValue::makeInt(int64_t Value) {
-  RuntimeValue Result;
-  Result.Kind = Kind::Int;
-  Result.I = Value;
-  return Result;
+  return {Kind::Int, Value, 0, {}};
 }
 
 RuntimeValue RuntimeValue::makeFloat(double Value) {
-  RuntimeValue Result;
-  Result.Kind = Kind::Float;
-  Result.F = Value;
-  return Result;
+  return {Kind::Float, 0, Value, {}};
 }
 
 RuntimeValue RuntimeValue::makeBuffer(Buffer Value) {
-  RuntimeValue Result;
-  Result.Kind = Kind::Mem;
-  Result.Mem = std::move(Value);
-  return Result;
+  return {Kind::Mem, 0, 0, std::move(Value)};
 }
 
 //===----------------------------------------------------------------------===//
@@ -81,17 +72,18 @@ RuntimeValue RuntimeValue::makeBuffer(Buffer Value) {
 void tdl::exec::xsmmMatmulKernel(Buffer &A, Buffer &B, Buffer &C, int64_t ILo,
                                  int64_t IHi, int64_t JLo, int64_t JHi,
                                  int64_t KLo, int64_t KHi,
-                                 const std::vector<int64_t> &PrefixA,
-                                 const std::vector<int64_t> &PrefixB,
-                                 const std::vector<int64_t> &PrefixC) {
+                                 ArrayRef<int64_t> PrefixA,
+                                 ArrayRef<int64_t> PrefixB,
+                                 ArrayRef<int64_t> PrefixC) {
   size_t Pa = PrefixA.size(), Pb = PrefixB.size(), Pc = PrefixC.size();
-  int64_t BaseA = A.Offset, BaseB = B.Offset, BaseC = C.Offset;
-  for (size_t I = 0; I < Pa; ++I)
-    BaseA += PrefixA[I] * A.Strides[I];
-  for (size_t I = 0; I < Pb; ++I)
-    BaseB += PrefixB[I] * B.Strides[I];
-  for (size_t I = 0; I < Pc; ++I)
-    BaseC += PrefixC[I] * C.Strides[I];
+  auto Base = [](const Buffer &X, ArrayRef<int64_t> Prefix) {
+    int64_t Linear = X.Offset;
+    for (size_t I = 0; I < Prefix.size(); ++I)
+      Linear += Prefix[I] * X.Strides[I];
+    return Linear;
+  };
+  int64_t BaseA = Base(A, PrefixA), BaseB = Base(B, PrefixB),
+          BaseC = Base(C, PrefixC);
   int64_t As0 = A.Strides[Pa], As1 = A.Strides[Pa + 1];
   int64_t Bs0 = B.Strides[Pb], Bs1 = B.Strides[Pb + 1];
   int64_t Cs0 = C.Strides[Pc], Cs1 = C.Strides[Pc + 1];
@@ -119,113 +111,127 @@ void tdl::exec::xsmmMatmulKernel(Buffer &A, Buffer &B, Buffer &C, int64_t ILo,
 }
 
 //===----------------------------------------------------------------------===//
-// Compilation to a block program
+// Compilation to a flat instruction program
 //===----------------------------------------------------------------------===//
 
 namespace {
 
+enum class SlotKind : uint8_t { Int, Float, Mem };
+
+/// A value's register: the file its type selects and its index there.
 struct Slot {
-  enum class Kind { Int, Float, Mem } Kind = Kind::Int;
+  SlotKind Kind = SlotKind::Int;
   unsigned Index = 0;
+  bool operator==(Slot O) const { return Kind == O.Kind && Index == O.Index; }
 };
 
+/// Pool entries that name a slot of any kind keep the kind in two low bits.
+uint32_t pack(Slot S) { return S.Index << 2 | static_cast<uint32_t>(S.Kind); }
+Slot unpack(uint32_t P) { return {static_cast<SlotKind>(P & 3), P >> 2}; }
+
+/// The operand layout of each opcode. A is the destination where there is
+/// one and D an offset into CompiledFunction::Pool, unless noted.
+enum class Opcode : uint8_t {
+  ConstI, ConstF, // A = Imm / FImm
+  // A = B op C over the int file.
+  AddI, SubI, MulI, DivSI, RemSI, MinSI, MaxSI, FloorDivSI, CeilDivSI, AndI,
+  OrI, XOrI,
+  // A = B op C over the float file.
+  AddF, SubF, MulF, DivF, MinF, MaxF,
+  // A = B pred C; sgt, sge, ugt and uge swap B and C.
+  CmpEq, CmpNe, CmpSlt, CmpSle, CmpUlt, CmpUle,
+  // A compare, in the order above, fused with the cf.cond_br that tests A:
+  // it writes A, then takes the edge at D if A holds, else the one at Imm.
+  BrEq, BrNe, BrSlt, BrSle, BrUlt, BrUle,
+  SelectI, SelectF, // A = B ? C : D
+  CastI,            // A = B (arith.index_cast)
+  SIToFP,           // A = B as f64
+  Affine, // A = the least of the first C results of Maps[Imm] on B slots at D
+  Alloc,            // A = a zeroed buffer of shape Shapes[Imm]
+  Nop,              // memref.dealloc
+  Load1, Load2, Load3, LoadN,     // A = buffer B at the C index slots at D
+  Store1, Store2, Store3, StoreN, // buffer B at the C index slots at D = A
+  SubView, // A = a view of B; D: offset, size, stride counts, then slots
+  Copy,    // view B copied into view A
+  Xsmm,    // D: three prefix counts, then the op's operand slots
+  Call,    // Callees[Imm]; D: B packed argument, then C result slots
+  LoopEnter, // A = B, then jump to Imm (the exit) unless A < C
+  LoopNext,  // A += B, then jump to Imm (the body) while A < C
+  Br,        // take the edge at D
+  CondBr,    // take the edge at D if B != 0, else the one at Imm
+  Return,    // the C packed result slots at D
+};
+
+/// One instruction: a plain record that the dispatch loop switches on.
+struct Instr {
+  Opcode Op = Opcode::Nop;
+  /// Executed ops the instruction counts each time it runs.
+  uint8_t Cost = 1;
+  uint32_t A = 0, B = 0, C = 0, D = 0;
+  union {
+    int64_t Imm = 0;
+    double FImm;
+  };
+};
+
+/// One function's program. A branch edge in the pool is [target, move
+/// count, staged, then a (packed source, destination index) pair per move].
+/// Moves run in order; a staged edge first copies every source to scratch
+/// slots, which only an edge whose later move reads an earlier move's
+/// destination (a swap) needs.
+struct CompiledFunction {
+  std::vector<Instr> Code;
+  std::vector<uint32_t> Pool;
+  /// The entry block's argument slots, packed.
+  std::vector<uint32_t> Args;
+  /// Value slots per kind; each frame file holds Scratch[kind] more past
+  /// them for staged moves, affine operands and results, and xsmm prefixes.
+  unsigned NumSlots[3] = {}, Scratch[3] = {};
+  /// Initial int value slots: the constants the compiler adds.
+  std::vector<int64_t> IntInit;
+  std::vector<AffineMap> Maps;
+  std::vector<std::vector<int64_t>> Shapes;
+  /// Call targets, each resolved on its first call.
+  struct Callee {
+    std::string Name;
+    const CompiledFunction *Fn = nullptr;
+  };
+  mutable std::vector<Callee> Callees;
+};
+
+/// The registers of one activation.
 struct Frame {
   std::vector<int64_t> Ints;
   std::vector<double> Floats;
   std::vector<Buffer> Bufs;
-  int64_t OpCount = 0;
 
   RuntimeValue get(Slot S) const {
-    if (S.Kind == Slot::Kind::Int)
+    if (S.Kind == SlotKind::Int)
       return RuntimeValue::makeInt(Ints[S.Index]);
-    if (S.Kind == Slot::Kind::Float)
+    if (S.Kind == SlotKind::Float)
       return RuntimeValue::makeFloat(Floats[S.Index]);
     return RuntimeValue::makeBuffer(Bufs[S.Index]);
   }
 
   void set(Slot S, const RuntimeValue &V) {
-    switch (S.Kind) {
-    case Slot::Kind::Int:
+    if (S.Kind == SlotKind::Int)
       Ints[S.Index] = V.I;
-      break;
-    case Slot::Kind::Float:
+    else if (S.Kind == SlotKind::Float)
       Floats[S.Index] = V.F;
-      break;
-    case Slot::Kind::Mem:
+    else
       Bufs[S.Index] = V.Mem;
-      break;
-    }
   }
 
-  /// Copies slot \p Src into index \p Dst of the same kind. Buffer copies
-  /// reuse the destination's capacity, so a warm frame does not allocate.
-  void copy(Slot Src, unsigned Dst) {
-    switch (Src.Kind) {
-    case Slot::Kind::Int:
-      Ints[Dst] = Ints[Src.Index];
-      break;
-    case Slot::Kind::Float:
-      Floats[Dst] = Floats[Src.Index];
-      break;
-    case Slot::Kind::Mem:
-      Bufs[Dst] = Bufs[Src.Index];
-      break;
-    }
+  /// Copies slot \p Src of \p From into index \p Dst of the same kind here.
+  /// Buffer copies reuse the destination's capacity.
+  void copy(const Frame &From, Slot Src, unsigned Dst) {
+    if (Src.Kind == SlotKind::Int)
+      Ints[Dst] = From.Ints[Src.Index];
+    else if (Src.Kind == SlotKind::Float)
+      Floats[Dst] = From.Floats[Src.Index];
+    else
+      Bufs[Dst] = From.Bufs[Src.Index];
   }
-};
-
-using CompiledOp = std::function<void(Frame &)>;
-
-/// One (source slot, destination block-argument slot) edge of a branch.
-/// Branches copy with parallel semantics: all sources are read before any
-/// destination is written, so `cf.br ^bb(%y, %x)` into `^bb(%x, %y)` swaps.
-struct BranchCopy {
-  Slot Src;
-  Slot Dst;
-};
-
-/// A compiled basic block: a straight-line program plus a terminator that
-/// the dispatch loop in `invoke` interprets. Every function body compiles to
-/// one vector of these; structured `scf` ops and calls open extra blocks
-/// while they compile.
-struct CompiledBlock {
-  std::vector<CompiledOp> Body;
-  enum class Term { Return, Br, CondBr, LoopEnter, LoopNext, Call } Kind =
-      Term::Return;
-  /// Executed ops the terminator counts: 1 for `cf.*`, `scf.if`,
-  /// `func.call` and a multi-block `func.return`; 0 for a single-block
-  /// `func.return` and the jumps the compiler adds. A loop terminator counts
-  /// it once per iteration it enters.
-  int64_t Cost = 0;
-  /// Return: the result slots. Call: the argument slots.
-  std::vector<Slot> Operands;
-  /// Call: the callee and the slots that receive its results.
-  std::string Callee;
-  std::vector<Slot> Results;
-  /// Int slot indices. CondBr tests Cond. LoopEnter sets `Iv = Lb`, LoopNext
-  /// sets `Iv += Step`; both then enter TrueDest while `Iv < Ub`.
-  unsigned Cond = 0;
-  struct LoopSlots {
-    unsigned Iv = 0, Lb = 0, Ub = 0, Step = 0;
-  } Loop;
-  /// Successor indices into CompiledFunction::Blocks and the block-argument
-  /// copies on each edge; FalseDest is the CondBr else edge and the loop
-  /// exit.
-  int TrueDest = -1, FalseDest = -1;
-  std::vector<BranchCopy> TrueCopies, FalseCopies;
-};
-
-struct CompiledFunction {
-  /// The block program; Blocks[0] is the entry.
-  std::vector<CompiledBlock> Blocks;
-  std::vector<Slot> ArgSlots;
-  unsigned NumInts = 0, NumFloats = 0, NumBufs = 0;
-  /// The most block-argument copies on one edge. Every frame holds this many
-  /// scratch slots of each kind past the value slots.
-  unsigned MaxCopies = 0;
-  /// Initial int slot values (the constant `scf.forall` bounds), sized to
-  /// the frame.
-  std::vector<int64_t> IntInit;
 };
 
 } // namespace
@@ -233,12 +239,13 @@ struct CompiledFunction {
 struct Executor::Impl {
   Operation *Module;
   std::map<std::string, std::unique_ptr<CompiledFunction>, std::less<>> Cache;
+  /// Frames[D] holds the registers of the call at depth D.
+  std::vector<std::unique_ptr<Frame>> Frames;
   int64_t LastOpCount = 0;
 
   FailureOr<const CompiledFunction *> compile(std::string_view Name);
-  FailureOr<std::vector<RuntimeValue>> invoke(const CompiledFunction &Fn,
-                                              std::vector<RuntimeValue> Args,
-                                              int64_t &OpCount);
+  Frame &enter(const CompiledFunction &Fn, size_t Depth);
+  const Instr *invoke(const CompiledFunction &Fn, size_t Depth, int64_t &Ops);
 };
 
 namespace {
@@ -261,102 +268,198 @@ public:
   FunctionCompiler(Operation *Func, CompiledFunction &Fn)
       : Func(Func), Fn(Fn) {}
 
-  /// One compiled block per basic block, in order; structured ops append
-  /// more. A single-block body's return counts no executed op.
+  /// Lays the blocks out in order, each ending in its terminator's jump;
+  /// structured ops compile inline. A single-block body's return counts no
+  /// executed op.
   LogicalResult compile() {
     Region &Top = Func->getRegion(0);
+    // A block with one incoming edge reads its arguments from the edge's
+    // operand slots. Its predecessor dominates it, so before an operand's
+    // slot is written again, control must re-enter the block to read it.
+    std::map<Block *, int> Incoming;
     for (Block &B : Top) {
-      BlockIndex[&B] = newBlock();
-      // Pre-assign block-argument slots so branch edges can target them.
-      for (Value Arg : B.getArguments())
-        (void)assignSlot(Arg);
-    }
-    for (Value Arg : Top.front().getArguments())
-      Fn.ArgSlots.push_back(assignSlot(Arg));
-    bool MultiBlock = Top.getNumBlocks() > 1;
-    for (Block &B : Top) {
-      Cur = BlockIndex[&B];
-      if (failed(compileOps(B)))
-        return failure();
-      Operation *Terminator = B.getTerminator();
-      if (!Terminator)
+      if (!B.getTerminator())
         return Func->emitOpError() << "executor: block without a terminator";
-      CompiledBlock &Rec = Fn.Blocks[Cur];
-      std::string_view TermName = Terminator->getName();
-      Rec.Cost = MultiBlock || TermName != "func.return";
-      if (TermName == "func.return") {
-        Rec.Kind = CompiledBlock::Term::Return;
-        for (Value Operand : Terminator->getOperands())
-          Rec.Operands.push_back(assignSlot(Operand));
-      } else if (TermName == "cf.br") {
-        Rec.Kind = CompiledBlock::Term::Br;
-        bindEdge(Terminator, 0, 0, Terminator->getNumOperands(), Rec.TrueDest,
-                 Rec.TrueCopies);
-      } else if (TermName == "cf.cond_br") {
-        Rec.Kind = CompiledBlock::Term::CondBr;
-        Rec.Cond = assignSlot(Terminator->getOperand(0)).Index;
-        unsigned TrueEnd = 1 + static_cast<unsigned>(
-                                   Terminator->getIntAttr("true_count", 0));
-        bindEdge(Terminator, 0, 1, TrueEnd, Rec.TrueDest, Rec.TrueCopies);
-        bindEdge(Terminator, 1, TrueEnd, Terminator->getNumOperands(),
-                 Rec.FalseDest, Rec.FalseCopies);
-      } else {
-        return Terminator->emitOpError()
-               << "executor: unsupported CFG terminator";
+      for (Block *Succ : B.getSuccessors())
+        ++Incoming[Succ];
+    }
+    for (Block &B : Top) {
+      Operation *Term = B.getTerminator();
+      for (unsigned S = 0; S < Term->getNumSuccessors(); ++S) {
+        Block *Succ = Term->getSuccessor(S);
+        auto [Begin, End] = edgeOperands(Term, S);
+        for (unsigned I = Begin; Incoming[Succ] == 1 && I < End; ++I)
+          if (Succ != &Top.front())
+            Alias[Succ->getArgument(I - Begin).getImpl()] =
+                Term->getOperand(I);
       }
     }
-    Fn.IntInit.resize(Fn.NumInts + Fn.MaxCopies);
+    for (Value Arg : Top.front().getArguments())
+      Fn.Args.push_back(pack(slot(Arg)));
+    bool MultiBlock = Top.getNumBlocks() > 1;
+    for (Block &B : Top) {
+      BlockPc[&B] = Fn.Code.size();
+      if (failed(compileOps(B)))
+        return failure();
+      Operation *Term = B.getTerminator();
+      std::string_view Name = Term->getName();
+      unsigned N = Term->getNumOperands();
+      if (Name == "func.return") {
+        emit(Opcode::Return, 0, 0, N, operandSlots(Term, 0, N, true)).Cost =
+            MultiBlock;
+      } else if (Name == "cf.br") {
+        emit(Opcode::Br, 0, 0, 0, edge(Term, 0));
+      } else if (Name == "cf.cond_br") {
+        unsigned Cond = slot(Term->getOperand(0)).Index;
+        uint32_t True = edge(Term, 0);
+        int64_t False = edge(Term, 1);
+        // A compare of Cond emitted last runs right before the branch.
+        Instr *Last = Fn.Code.empty() ? nullptr : &Fn.Code.back();
+        if (Last && Last->A == Cond && Last->Op >= Opcode::CmpEq &&
+            Last->Op <= Opcode::CmpUle) {
+          Last->Op = Opcode(int(Last->Op) + int(Opcode::BrEq) -
+                            int(Opcode::CmpEq));
+          Last->Cost = 2;
+        } else {
+          Last = &emit(Opcode::CondBr, 0, Cond);
+        }
+        Last->D = True;
+        Last->Imm = False;
+      } else {
+        return Term->emitOpError() << "executor: unsupported CFG terminator";
+      }
+    }
+    for (auto [At, Target] : Fixups)
+      Fn.Pool[At] = BlockPc.at(Target);
+    // A move-less jump to a conditional branch runs that branch itself.
+    for (Instr &Jump : Fn.Code) {
+      if (Jump.Op != Opcode::Br || Fn.Pool[Jump.D + 1])
+        continue;
+      const Instr &To = Fn.Code[Fn.Pool[Jump.D]];
+      if (To.Op == Opcode::CondBr ||
+          (To.Op >= Opcode::BrEq && To.Op <= Opcode::BrUle)) {
+        uint8_t Cost = Jump.Cost + To.Cost;
+        Jump = To;
+        Jump.Cost = Cost;
+      }
+    }
+    Fn.IntInit.resize(Fn.NumSlots[0]);
     return success();
   }
 
 private:
-  Slot assignSlot(Value V) {
-    auto It = Slots.find(V.getImpl());
-    if (It != Slots.end())
+  Slot slot(Value V) {
+    if (auto It = Slots.find(V.getImpl()); It != Slots.end())
       return It->second;
     Slot S;
-    Type Ty = V.getType();
-    if (Ty.isFloat()) {
-      S.Kind = Slot::Kind::Float;
-      S.Index = Fn.NumFloats++;
-    } else if (Ty.isa<MemRefType>()) {
-      S.Kind = Slot::Kind::Mem;
-      S.Index = Fn.NumBufs++;
+    if (auto It = Alias.find(V.getImpl()); It != Alias.end()) {
+      Value Src = It->second;
+      Alias.erase(It); // A cycle of aliases (dead blocks) ends in a new slot.
+      S = slot(Src);
     } else {
-      S.Kind = Slot::Kind::Int;
-      S.Index = Fn.NumInts++;
+      Type Ty = V.getType();
+      S.Kind = Ty.isFloat()             ? SlotKind::Float
+               : Ty.isa<MemRefType>() ? SlotKind::Mem
+                                      : SlotKind::Int;
+      S.Index = Fn.NumSlots[static_cast<int>(S.Kind)]++;
     }
-    Slots[V.getImpl()] = S;
-    return S;
+    return Slots[V.getImpl()] = S;
   }
 
-  /// A fresh int slot that holds \p V from frame set-up on.
+  /// The operands [Begin, End) of \p Term that successor \p Succ's block
+  /// arguments take.
+  static std::pair<unsigned, unsigned> edgeOperands(Operation *Term,
+                                                    unsigned Succ) {
+    if (Term->getName() != "cf.cond_br")
+      return {0, Term->getNumOperands()};
+    unsigned TrueEnd =
+        1 + static_cast<unsigned>(Term->getIntAttr("true_count", 0));
+    return Succ ? std::pair(TrueEnd, Term->getNumOperands())
+                : std::pair(1u, TrueEnd);
+  }
+
+  /// An int slot that holds \p V from frame entry on.
   unsigned constSlot(int64_t V) {
-    Fn.IntInit.resize(Fn.NumInts + 1);
-    Fn.IntInit[Fn.NumInts] = V;
-    return Fn.NumInts++;
+    auto [It, Inserted] = Consts.try_emplace(V, Fn.NumSlots[0]);
+    if (Inserted) {
+      Fn.IntInit.resize(Fn.NumSlots[0] + 1);
+      Fn.IntInit[Fn.NumSlots[0]++] = V;
+    }
+    return It->second;
   }
 
-  int newBlock() {
-    Fn.Blocks.emplace_back();
-    return static_cast<int>(Fn.Blocks.size()) - 1;
+  Instr &emit(Opcode Op, uint32_t A = 0, uint32_t B = 0, uint32_t C = 0,
+              uint32_t D = 0) {
+    return Fn.Code.emplace_back(Instr{Op, 1, A, B, C, D, {}});
   }
 
-  void emit(CompiledOp Op) { Fn.Blocks[Cur].Body.push_back(std::move(Op)); }
-
-  /// Binds successor \p Succ of \p Terminator, whose block arguments take
-  /// operands [Begin, End), to \p Dest and the edge's \p Copies.
-  void bindEdge(Operation *Terminator, unsigned Succ, unsigned Begin,
-                unsigned End, int &Dest, std::vector<BranchCopy> &Copies) {
-    Block *Target = Terminator->getSuccessor(Succ);
-    Dest = BlockIndex.at(Target);
-    for (unsigned I = Begin; I < End; ++I)
-      Copies.push_back({assignSlot(Terminator->getOperand(I)),
-                        assignSlot(Target->getArgument(I - Begin))});
-    Fn.MaxCopies = std::max<unsigned>(Fn.MaxCopies, Copies.size());
+  /// Appends the slots of \p Op's operands [Begin, End) to the pool, packed
+  /// when \p Packed, and returns where they start.
+  uint32_t operandSlots(Operation *Op, unsigned Begin, unsigned End,
+                        bool Packed) {
+    uint32_t At = Fn.Pool.size();
+    for (unsigned I = Begin; I < End; ++I) {
+      Slot S = slot(Op->getOperand(I));
+      Fn.Pool.push_back(Packed ? pack(S) : S.Index);
+    }
+    return At;
   }
 
-  /// Compiles \p B's ops up to its terminator from the current block on.
+  /// Appends an edge without moves to \p Target and returns its offset.
+  uint32_t edgeTo(size_t Target) {
+    uint32_t At = Fn.Pool.size();
+    Fn.Pool.insert(Fn.Pool.end(), {static_cast<uint32_t>(Target), 0, 0});
+    return At;
+  }
+
+  /// Appends the edge into successor \p Succ of \p Term and returns its
+  /// offset.
+  uint32_t edge(Operation *Term, unsigned Succ) {
+    Block *Target = Term->getSuccessor(Succ);
+    auto [Begin, End] = edgeOperands(Term, Succ);
+    // An int operand of a cf.br that the instruction just before it
+    // computes, and that nothing else uses, is computed straight into its
+    // block argument's slot, unless another move on the edge reads that.
+    Instr *Last = Fn.Code.empty() ? nullptr : &Fn.Code.back();
+    bool Fold = Term->getName() == "cf.br" && Last &&
+                Last->Op >= Opcode::AddI && Last->Op <= Opcode::XOrI;
+    for (unsigned I = Begin; Fold && I < End; ++I) {
+      Value V = Term->getOperand(I);
+      if (!(slot(V) == Slot{SlotKind::Int, Last->A}) || !V.hasOneUse())
+        continue;
+      Slot Dst = slot(Target->getArgument(I - Begin));
+      for (unsigned J = Begin; J < End; ++J)
+        Fold &= J == I || !(slot(Term->getOperand(J)) == Dst);
+      if (Fold)
+        Last->A = Slots[V.getImpl()].Index = Dst.Index;
+      break;
+    }
+    std::vector<std::pair<Slot, Slot>> Moves;
+    bool Staged = false;
+    for (unsigned I = Begin; I < End; ++I) {
+      Slot Src = slot(Term->getOperand(I));
+      Slot Dst = slot(Target->getArgument(I - Begin));
+      if (Src == Dst)
+        continue;
+      for (auto &Earlier : Moves)
+        Staged |= Earlier.second == Src;
+      Moves.push_back({Src, Dst});
+    }
+    uint32_t At = edgeTo(0);
+    Fixups.push_back({At, Target});
+    Fn.Pool[At + 1] = Moves.size();
+    Fn.Pool[At + 2] = Staged;
+    for (auto [Src, Dst] : Moves) {
+      Fn.Pool.push_back(pack(Src));
+      Fn.Pool.push_back(Dst.Index);
+      if (Staged)
+        Fn.Scratch[int(Src.Kind)] =
+            std::max<unsigned>(Fn.Scratch[int(Src.Kind)], Moves.size());
+    }
+    return At;
+  }
+
+  /// Compiles \p B's ops up to its terminator.
   LogicalResult compileOps(Block &B) {
     for (Operation *Op : B) {
       if (Op->hasTrait(OT_IsTerminator))
@@ -367,28 +470,20 @@ private:
     return success();
   }
 
-  /// Compiles `for (Iv = Lb; Iv < Ub; Iv += Step) CompileBody()`: the
-  /// current block ends in LoopEnter, the body's last block in LoopNext, and
-  /// compilation goes on in a fresh exit block. Entering an iteration counts
-  /// \p Cost executed ops.
-  LogicalResult compileLoop(CompiledBlock::LoopSlots Loop, int64_t Cost,
-                            const std::function<LogicalResult()> &CompileBody) {
-    int Enter = Cur, Body = newBlock();
-    Cur = Body;
+  /// Compiles `for (Iv = Lb; Iv < Ub; Iv += Step) CompileBody()`. Every
+  /// iteration counts \p Cost executed ops when it reaches LoopNext.
+  template <typename BodyFn>
+  LogicalResult compileLoop(unsigned Iv, unsigned Lb, unsigned Ub,
+                            unsigned Step, uint8_t Cost, BodyFn CompileBody) {
+    size_t Enter = Fn.Code.size();
+    emit(Opcode::LoopEnter, Iv, Lb, Ub).Cost = 0;
+    size_t Body = Fn.Code.size();
     if (failed(CompileBody()))
       return failure();
-    int Next = Cur, Exit = newBlock();
-    for (auto [Index, Kind] :
-         {std::pair(Enter, CompiledBlock::Term::LoopEnter),
-          std::pair(Next, CompiledBlock::Term::LoopNext)}) {
-      CompiledBlock &Rec = Fn.Blocks[Index];
-      Rec.Kind = Kind;
-      Rec.Loop = Loop;
-      Rec.Cost = Cost;
-      Rec.TrueDest = Body;
-      Rec.FalseDest = Exit;
-    }
-    Cur = Exit;
+    Instr &Next = emit(Opcode::LoopNext, Iv, Step, Ub);
+    Next.Cost = Cost;
+    Next.Imm = Body;
+    Fn.Code[Enter].Imm = Fn.Code.size();
     return success();
   }
 
@@ -398,8 +493,8 @@ private:
                               const std::vector<int64_t> &Ubs, size_t Dim) {
     if (Dim == Lbs.size())
       return compileOps(Body);
-    return compileLoop({assignSlot(Body.getArgument(Dim)).Index,
-                        constSlot(Lbs[Dim]), constSlot(Ubs[Dim]), constSlot(1)},
+    return compileLoop(slot(Body.getArgument(Dim)).Index, constSlot(Lbs[Dim]),
+                       constSlot(Ubs[Dim]), constSlot(1),
                        Dim + 1 == Lbs.size(), [&] {
                          return compileForall(Body, Lbs, Ubs, Dim + 1);
                        });
@@ -409,100 +504,49 @@ private:
 
   Operation *Func;
   CompiledFunction &Fn;
-  /// The block that compiled ops are appended to.
-  int Cur = 0;
-  std::map<Block *, int> BlockIndex;
+  std::map<Block *, size_t> BlockPc;
+  /// Pool entries that hold the program counter of a block.
+  std::vector<std::pair<uint32_t, Block *>> Fixups;
   std::map<ValueImpl *, Slot> Slots;
+  /// Block arguments that share the slot of their one incoming value.
+  std::map<ValueImpl *, Value> Alias;
+  std::map<int64_t, unsigned> Consts;
 };
 
 LogicalResult FunctionCompiler::compileOp(Operation *Op) {
   std::string_view Name = Op->getName();
+  auto Operand = [&](unsigned I) { return slot(Op->getOperand(I)).Index; };
+  auto Result = [&] { return slot(Op->getResult(0)).Index; };
 
   //===--------------------------------------------------------------------===//
   // Constants and integer/float arithmetic
   //===--------------------------------------------------------------------===//
 
   if (Name == "arith.constant") {
-    Slot Dst = assignSlot(Op->getResult(0));
     if (IntegerAttr Int = Op->getAttrOfType<IntegerAttr>("value")) {
-      int64_t V = Int.getValue();
-      emit([Dst, V](Frame &F) {
-        ++F.OpCount;
-        F.Ints[Dst.Index] = V;
-      });
+      emit(Opcode::ConstI, Result()).Imm = Int.getValue();
       return success();
     }
     if (FloatAttr Float = Op->getAttrOfType<FloatAttr>("value")) {
-      double V = Float.getValue();
-      emit([Dst, V](Frame &F) {
-        ++F.OpCount;
-        F.Floats[Dst.Index] = V;
-      });
+      emit(Opcode::ConstF, Result()).FImm = Float.getValue();
       return success();
     }
     return Op->emitOpError() << "executor: unsupported constant kind";
   }
 
-  static const std::map<std::string_view, int> IntBinKind = {
-      {"arith.addi", 0},       {"arith.subi", 1},  {"arith.muli", 2},
-      {"arith.divsi", 3},      {"arith.remsi", 4}, {"arith.minsi", 5},
-      {"arith.maxsi", 6},      {"arith.floordivsi", 7},
-      {"arith.ceildivsi", 8},  {"arith.andi", 9},
-      {"arith.ori", 10},       {"arith.xori", 11}};
-  if (auto It = IntBinKind.find(Name); It != IntBinKind.end()) {
-    Slot L = assignSlot(Op->getOperand(0)), R = assignSlot(Op->getOperand(1));
-    Slot Dst = assignSlot(Op->getResult(0));
-    int Kind = It->second;
-    emit([L, R, Dst, Kind](Frame &F) {
-      ++F.OpCount;
-      int64_t A = F.Ints[L.Index], B = F.Ints[R.Index], V = 0;
-      switch (Kind) {
-      case 0: V = A + B; break;
-      case 1: V = A - B; break;
-      case 2: V = A * B; break;
-      case 3: V = B ? A / B : 0; break;
-      case 4: V = B ? A % B : 0; break;
-      case 5: V = std::min(A, B); break;
-      case 6: V = std::max(A, B); break;
-      case 7:
-        V = B ? A / B : 0;
-        if (B && (A % B) != 0 && ((A < 0) != (B < 0)))
-          --V;
-        break;
-      case 8:
-        V = B ? A / B : 0;
-        if (B && (A % B) != 0 && ((A < 0) == (B < 0)))
-          ++V;
-        break;
-      case 9: V = A & B; break;
-      case 10: V = A | B; break;
-      case 11: V = A ^ B; break;
-      }
-      F.Ints[Dst.Index] = V;
-    });
-    return success();
-  }
-
-  static const std::map<std::string_view, int> FloatBinKind = {
-      {"arith.addf", 0}, {"arith.subf", 1}, {"arith.mulf", 2},
-      {"arith.divf", 3}, {"arith.minf", 4}, {"arith.maxf", 5}};
-  if (auto It = FloatBinKind.find(Name); It != FloatBinKind.end()) {
-    Slot L = assignSlot(Op->getOperand(0)), R = assignSlot(Op->getOperand(1));
-    Slot Dst = assignSlot(Op->getResult(0));
-    int Kind = It->second;
-    emit([L, R, Dst, Kind](Frame &F) {
-      ++F.OpCount;
-      double A = F.Floats[L.Index], B = F.Floats[R.Index], V = 0;
-      switch (Kind) {
-      case 0: V = A + B; break;
-      case 1: V = A - B; break;
-      case 2: V = A * B; break;
-      case 3: V = A / B; break;
-      case 4: V = std::min(A, B); break;
-      case 5: V = std::max(A, B); break;
-      }
-      F.Floats[Dst.Index] = V;
-    });
+  static const std::map<std::string_view, Opcode> Binary = {
+      {"arith.addi", Opcode::AddI},   {"arith.subi", Opcode::SubI},
+      {"arith.muli", Opcode::MulI},   {"arith.divsi", Opcode::DivSI},
+      {"arith.remsi", Opcode::RemSI}, {"arith.minsi", Opcode::MinSI},
+      {"arith.maxsi", Opcode::MaxSI}, {"arith.floordivsi", Opcode::FloorDivSI},
+      {"arith.ceildivsi", Opcode::CeilDivSI},
+      {"arith.andi", Opcode::AndI},   {"arith.ori", Opcode::OrI},
+      {"arith.xori", Opcode::XOrI},   {"arith.addf", Opcode::AddF},
+      {"arith.subf", Opcode::SubF},   {"arith.mulf", Opcode::MulF},
+      {"arith.divf", Opcode::DivF},   {"arith.minf", Opcode::MinF},
+      {"arith.maxf", Opcode::MaxF}};
+  if (auto It = Binary.find(Name); It != Binary.end()) {
+    emit(It->second, Result(), Operand(0), Operand(1));
     return success();
   }
 
@@ -510,228 +554,114 @@ LogicalResult FunctionCompiler::compileOp(Operation *Op) {
     // Decoded once here. The unsigned predicates compare the 64-bit
     // two's-complement patterns, which also orders sign-extended narrower
     // integers correctly.
-    enum class Pred { Eq, Ne, Slt, Sle, Sgt, Sge, Ult, Ule, Ugt, Uge };
-    static const std::map<std::string_view, Pred> Predicates = {
-        {"eq", Pred::Eq},   {"ne", Pred::Ne},   {"slt", Pred::Slt},
-        {"sle", Pred::Sle}, {"sgt", Pred::Sgt}, {"sge", Pred::Sge},
-        {"ult", Pred::Ult}, {"ule", Pred::Ule}, {"ugt", Pred::Ugt},
-        {"uge", Pred::Uge}};
+    static const std::map<std::string_view, std::pair<Opcode, bool>>
+        Predicates = {
+            {"eq", {Opcode::CmpEq, false}},   {"ne", {Opcode::CmpNe, false}},
+            {"slt", {Opcode::CmpSlt, false}}, {"sle", {Opcode::CmpSle, false}},
+            {"sgt", {Opcode::CmpSlt, true}},  {"sge", {Opcode::CmpSle, true}},
+            {"ult", {Opcode::CmpUlt, false}}, {"ule", {Opcode::CmpUle, false}},
+            {"ugt", {Opcode::CmpUlt, true}},  {"uge", {Opcode::CmpUle, true}}};
     std::string_view Spelled = Op->getStringAttr("predicate");
     auto It = Predicates.find(Spelled);
     if (It == Predicates.end())
       return Op->emitOpError()
              << "executor: unknown cmpi predicate '" << Spelled << "'";
-    Pred P = It->second;
-    Slot L = assignSlot(Op->getOperand(0)), R = assignSlot(Op->getOperand(1));
-    Slot Dst = assignSlot(Op->getResult(0));
-    emit([L, R, Dst, P](Frame &F) {
-      ++F.OpCount;
-      int64_t A = F.Ints[L.Index], B = F.Ints[R.Index];
-      uint64_t UA = static_cast<uint64_t>(A), UB = static_cast<uint64_t>(B);
-      bool V = false;
-      switch (P) {
-      case Pred::Eq: V = A == B; break;
-      case Pred::Ne: V = A != B; break;
-      case Pred::Slt: V = A < B; break;
-      case Pred::Sle: V = A <= B; break;
-      case Pred::Sgt: V = A > B; break;
-      case Pred::Sge: V = A >= B; break;
-      case Pred::Ult: V = UA < UB; break;
-      case Pred::Ule: V = UA <= UB; break;
-      case Pred::Ugt: V = UA > UB; break;
-      case Pred::Uge: V = UA >= UB; break;
-      }
-      F.Ints[Dst.Index] = V;
-    });
+    auto [Code, Swap] = It->second;
+    unsigned L = Operand(0), R = Operand(1);
+    emit(Code, Result(), Swap ? R : L, Swap ? L : R);
     return success();
   }
 
   if (Name == "arith.select") {
-    Slot C = assignSlot(Op->getOperand(0));
-    Slot L = assignSlot(Op->getOperand(1)), R = assignSlot(Op->getOperand(2));
-    Slot Dst = assignSlot(Op->getResult(0));
-    if (Dst.Kind == Slot::Kind::Float) {
-      emit([C, L, R, Dst](Frame &F) {
-        ++F.OpCount;
-        F.Floats[Dst.Index] =
-            F.Ints[C.Index] ? F.Floats[L.Index] : F.Floats[R.Index];
-      });
-    } else {
-      emit([C, L, R, Dst](Frame &F) {
-        ++F.OpCount;
-        F.Ints[Dst.Index] =
-            F.Ints[C.Index] ? F.Ints[L.Index] : F.Ints[R.Index];
-      });
-    }
+    Slot Dst = slot(Op->getResult(0));
+    if (Dst.Kind == SlotKind::Mem)
+      return Op->emitOpError() << "executor: memref select unsupported";
+    emit(Dst.Kind == SlotKind::Float ? Opcode::SelectF : Opcode::SelectI,
+         Dst.Index, Operand(0), Operand(1), Operand(2));
     return success();
   }
 
-  if (Name == "arith.index_cast") {
-    Slot Src = assignSlot(Op->getOperand(0));
-    Slot Dst = assignSlot(Op->getResult(0));
-    emit([Src, Dst](Frame &F) {
-      ++F.OpCount;
-      F.Ints[Dst.Index] = F.Ints[Src.Index];
-    });
-    return success();
-  }
-
-  if (Name == "arith.sitofp") {
-    Slot Src = assignSlot(Op->getOperand(0));
-    Slot Dst = assignSlot(Op->getResult(0));
-    emit([Src, Dst](Frame &F) {
-      ++F.OpCount;
-      F.Floats[Dst.Index] = static_cast<double>(F.Ints[Src.Index]);
-    });
+  if (Name == "arith.index_cast" || Name == "arith.sitofp") {
+    emit(Name == "arith.sitofp" ? Opcode::SIToFP : Opcode::CastI, Result(),
+         Operand(0));
     return success();
   }
 
   //===--------------------------------------------------------------------===//
-  // Affine
+  // Affine and MemRef
   //===--------------------------------------------------------------------===//
 
   if (Name == "affine.apply" || Name == "affine.min") {
     AffineMap Map = Op->getAttrOfType<AffineMapAttr>("map").getValue();
-    std::vector<Slot> Operands;
-    for (Value Operand : Op->getOperands())
-      Operands.push_back(assignSlot(Operand));
-    Slot Dst = assignSlot(Op->getResult(0));
-    bool IsMin = Name == "affine.min";
-    emit([Map, Operands, Dst, IsMin](Frame &F) {
-      ++F.OpCount;
-      std::vector<int64_t> Values;
-      Values.reserve(Operands.size());
-      for (Slot S : Operands)
-        Values.push_back(F.Ints[S.Index]);
-      std::vector<int64_t> Results = Map.evaluate(Values);
-      int64_t V = Results[0];
-      if (IsMin)
-        for (int64_t R : Results)
-          V = std::min(V, R);
-      F.Ints[Dst.Index] = V;
-    });
+    unsigned N = Op->getNumOperands(), R = Map.getNumResults();
+    if (N != Map.getNumInputs() || R == 0)
+      return Op->emitOpError() << "executor: affine map does not fit its op";
+    // Operands and results are evaluated in int scratch slots.
+    Fn.Scratch[0] = std::max(Fn.Scratch[0], N + R);
+    emit(Opcode::Affine, Result(), N, Name == "affine.min" ? R : 1,
+         operandSlots(Op, 0, N, false))
+        .Imm = Fn.Maps.size();
+    Fn.Maps.push_back(Map);
     return success();
   }
-
-  //===--------------------------------------------------------------------===//
-  // MemRef
-  //===--------------------------------------------------------------------===//
 
   if (Name == "memref.alloc") {
     MemRefType Ty = Op->getResult(0).getType().cast<MemRefType>();
     if (!Ty.hasStaticShape())
       return Op->emitOpError() << "executor: dynamic alloc unsupported";
-    Slot Dst = assignSlot(Op->getResult(0));
-    std::vector<int64_t> Shape = Ty.getShape();
-    emit([Dst, Shape](Frame &F) {
-      ++F.OpCount;
-      F.Bufs[Dst.Index] = Buffer::alloc(Shape);
-    });
+    emit(Opcode::Alloc, Result()).Imm = Fn.Shapes.size();
+    Fn.Shapes.push_back(Ty.getShape());
     return success();
   }
 
   if (Name == "memref.dealloc") {
-    emit([](Frame &F) { ++F.OpCount; });
+    emit(Opcode::Nop);
     return success();
   }
 
-  if (Name == "memref.load") {
-    Slot Mem = assignSlot(Op->getOperand(0));
-    std::vector<Slot> Indices;
-    for (unsigned I = 1; I < Op->getNumOperands(); ++I)
-      Indices.push_back(assignSlot(Op->getOperand(I)));
-    Slot Dst = assignSlot(Op->getResult(0));
-    emit([Mem, Indices, Dst](Frame &F) {
-      ++F.OpCount;
-      Buffer &B = F.Bufs[Mem.Index];
-      int64_t Linear = B.Offset;
-      for (size_t I = 0; I < Indices.size(); ++I)
-        Linear += F.Ints[Indices[I].Index] * B.Strides[I];
-      F.Floats[Dst.Index] = (*B.Data)[Linear];
-    });
-    return success();
-  }
-
-  if (Name == "memref.store") {
-    Slot Src = assignSlot(Op->getOperand(0));
-    Slot Mem = assignSlot(Op->getOperand(1));
-    std::vector<Slot> Indices;
-    for (unsigned I = 2; I < Op->getNumOperands(); ++I)
-      Indices.push_back(assignSlot(Op->getOperand(I)));
-    emit([Src, Mem, Indices](Frame &F) {
-      ++F.OpCount;
-      Buffer &B = F.Bufs[Mem.Index];
-      int64_t Linear = B.Offset;
-      for (size_t I = 0; I < Indices.size(); ++I)
-        Linear += F.Ints[Indices[I].Index] * B.Strides[I];
-      (*B.Data)[Linear] = F.Floats[Src.Index];
-    });
+  if (Name == "memref.load" || Name == "memref.store") {
+    bool Load = Name == "memref.load";
+    unsigned Mem = Load ? 0 : 1, N = Op->getNumOperands(),
+             Rank = N - Mem - 1;
+    // Load1..3 and LoadN, then Store1..3 and StoreN, are adjacent.
+    int Form = Rank >= 1 && Rank <= 3 ? Rank - 1 : 3;
+    emit(static_cast<Opcode>(int(Load ? Opcode::Load1 : Opcode::Store1) + Form),
+         Load ? Result() : Operand(0), Operand(Mem), Rank,
+         operandSlots(Op, Mem + 1, N, false));
     return success();
   }
 
   if (Name == "memref.subview") {
-    Slot Src = assignSlot(Op->getOperand(0));
-    Slot Dst = assignSlot(Op->getResult(0));
-    std::vector<int64_t> Offsets =
-        Op->getAttrOfType<ArrayAttr>("static_offsets").getAsIntegers();
-    std::vector<int64_t> Sizes =
-        Op->getAttrOfType<ArrayAttr>("static_sizes").getAsIntegers();
-    std::vector<int64_t> Strides =
-        Op->getAttrOfType<ArrayAttr>("static_strides").getAsIntegers();
-    std::vector<Slot> DynSlots;
-    for (unsigned I = 1; I < Op->getNumOperands(); ++I)
-      DynSlots.push_back(assignSlot(Op->getOperand(I)));
-    emit([Src, Dst, Offsets, Sizes, Strides, DynSlots](Frame &F) {
-      ++F.OpCount;
-      Buffer &In = F.Bufs[Src.Index];
-      Buffer Result;
-      Result.Data = In.Data;
-      size_t Dyn = 0;
-      auto Resolve = [&](int64_t V) {
-        return V == kDynamic ? F.Ints[DynSlots[Dyn++].Index] : V;
-      };
-      Result.Offset = In.Offset;
-      std::vector<int64_t> Off(Offsets.size());
-      for (size_t I = 0; I < Offsets.size(); ++I)
-        Off[I] = Resolve(Offsets[I]);
-      std::vector<int64_t> Sz(Sizes.size());
-      for (size_t I = 0; I < Sizes.size(); ++I)
-        Sz[I] = Resolve(Sizes[I]);
-      std::vector<int64_t> St(Strides.size());
-      for (size_t I = 0; I < Strides.size(); ++I)
-        St[I] = Resolve(Strides[I]);
-      for (size_t I = 0; I < Off.size(); ++I)
-        Result.Offset += Off[I] * In.Strides[I];
-      Result.Sizes = Sz;
-      Result.Strides.resize(St.size());
-      for (size_t I = 0; I < St.size(); ++I)
-        Result.Strides[I] = St[I] * In.Strides[I];
-      F.Bufs[Dst.Index] = std::move(Result);
-    });
+    // Each list is its count and then one slot per entry; static entries
+    // become constant slots, so a run only reads slots.
+    uint32_t At = Fn.Pool.size();
+    unsigned Dyn = 1;
+    for (const char *List :
+         {"static_offsets", "static_sizes", "static_strides"}) {
+      std::vector<int64_t> Values =
+          Op->getAttrOfType<ArrayAttr>(List).getAsIntegers();
+      Fn.Pool.push_back(Values.size());
+      for (int64_t V : Values)
+        Fn.Pool.push_back(V == kDynamic ? Operand(Dyn++) : constSlot(V));
+    }
+    emit(Opcode::SubView, Result(), Operand(0), 0, At);
     return success();
   }
 
   if (Name == "memref.copy") {
-    Slot Src = assignSlot(Op->getOperand(0));
-    Slot Dst = assignSlot(Op->getOperand(1));
-    emit([Src, Dst](Frame &F) {
-      ++F.OpCount;
-      copyView(F.Bufs[Src.Index], F.Bufs[Dst.Index]);
-    });
+    emit(Opcode::Copy, Operand(1), Operand(0));
     return success();
   }
 
   //===--------------------------------------------------------------------===//
-  // Structured control flow: extra blocks of the one block program
+  // Structured control flow, inline in the one program
   //===--------------------------------------------------------------------===//
 
   if (Name == "scf.for") {
     Block *Body = scf::getLoopBody(Op);
-    return compileLoop({assignSlot(Body->getArgument(0)).Index,
-                        assignSlot(Op->getOperand(0)).Index,
-                        assignSlot(Op->getOperand(1)).Index,
-                        assignSlot(Op->getOperand(2)).Index},
-                       /*Cost=*/1, [&] { return compileOps(*Body); });
+    return compileLoop(slot(Body->getArgument(0)).Index, Operand(0),
+                       Operand(1), Operand(2), /*Cost=*/1,
+                       [&] { return compileOps(*Body); });
   }
 
   if (Name == "scf.forall")
@@ -741,29 +671,22 @@ LogicalResult FunctionCompiler::compileOp(Operation *Op) {
         Op->getAttrOfType<ArrayAttr>("upperBound").getAsIntegers(), 0);
 
   if (Name == "scf.if") {
-    // A counted CondBr into then/else blocks that jump, uncounted, to a join
-    // block; a missing region branches straight to the join.
-    int Branch = Cur, Dests[2] = {-1, -1};
-    std::vector<int> Ends;
+    // A counted CondBr into the then code; with an else, the then code ends
+    // in an uncounted jump over it to the join.
+    uint32_t True = edgeTo(Fn.Code.size() + 1), False = edgeTo(0);
+    uint32_t Join = False;
+    emit(Opcode::CondBr, 0, Operand(0), 0, True).Imm = False;
     for (unsigned R = 0; R < 2 && R < Op->getNumRegions(); ++R) {
       if (Op->getRegion(R).empty())
         continue;
-      Cur = Dests[R] = newBlock();
+      if (R == 1) {
+        emit(Opcode::Br, 0, 0, 0, Join = edgeTo(0)).Cost = 0;
+        Fn.Pool[False] = Fn.Code.size();
+      }
       if (failed(compileOps(Op->getRegion(R).front())))
         return failure();
-      Ends.push_back(Cur);
     }
-    Cur = newBlock();
-    for (int End : Ends) {
-      Fn.Blocks[End].Kind = CompiledBlock::Term::Br;
-      Fn.Blocks[End].TrueDest = Cur;
-    }
-    CompiledBlock &Rec = Fn.Blocks[Branch];
-    Rec.Kind = CompiledBlock::Term::CondBr;
-    Rec.Cost = 1;
-    Rec.Cond = assignSlot(Op->getOperand(0)).Index;
-    Rec.TrueDest = Dests[0] < 0 ? Cur : Dests[0];
-    Rec.FalseDest = Dests[1] < 0 ? Cur : Dests[1];
+    Fn.Pool[Join] = Fn.Code.size();
     return success();
   }
 
@@ -772,55 +695,109 @@ LogicalResult FunctionCompiler::compileOp(Operation *Op) {
   //===--------------------------------------------------------------------===//
 
   if (Name == "func.call") {
-    // A call ends its block, so a failing callee stops the dispatch loop
-    // before any later op reads its results.
-    int Next = newBlock();
-    CompiledBlock &Rec = Fn.Blocks[Cur];
-    Rec.Kind = CompiledBlock::Term::Call;
-    Rec.Cost = 1;
-    Rec.Callee = Op->getAttrOfType<SymbolRefAttr>("callee").getValue();
-    for (Value Operand : Op->getOperands())
-      Rec.Operands.push_back(assignSlot(Operand));
-    for (Value Result : Op->getResults())
-      Rec.Results.push_back(assignSlot(Result));
-    Rec.TrueDest = Cur = Next;
+    unsigned N = Op->getNumOperands(), R = Op->getNumResults();
+    uint32_t At = operandSlots(Op, 0, N, true);
+    for (unsigned I = 0; I < R; ++I)
+      Fn.Pool.push_back(pack(slot(Op->getResult(I))));
+    emit(Opcode::Call, 0, N, R, At).Imm = Fn.Callees.size();
+    Fn.Callees.push_back(
+        {std::string(Op->getAttrOfType<SymbolRefAttr>("callee").getValue()),
+         nullptr});
     return success();
   }
 
   if (Name == "xsmm.matmul") {
-    std::vector<Slot> Operands;
-    for (Value Operand : Op->getOperands())
-      Operands.push_back(assignSlot(Operand));
-    std::vector<int64_t> PrefixCounts =
+    std::vector<int64_t> Counts =
         Op->getAttrOfType<ArrayAttr>("prefix_counts").getAsIntegers();
-    emit([Operands, PrefixCounts](Frame &F) {
-      ++F.OpCount;
-      Buffer &A = F.Bufs[Operands[0].Index];
-      Buffer &B = F.Bufs[Operands[1].Index];
-      Buffer &C = F.Bufs[Operands[2].Index];
-      auto IntAt = [&](size_t I) { return F.Ints[Operands[I].Index]; };
-      size_t Base = 9;
-      std::vector<int64_t> Pa, Pb, Pc;
-      for (int64_t I = 0; I < PrefixCounts[0]; ++I)
-        Pa.push_back(IntAt(Base++));
-      for (int64_t I = 0; I < PrefixCounts[1]; ++I)
-        Pb.push_back(IntAt(Base++));
-      for (int64_t I = 0; I < PrefixCounts[2]; ++I)
-        Pc.push_back(IntAt(Base++));
-      xsmmMatmulKernel(A, B, C, IntAt(3), IntAt(4), IntAt(5), IntAt(6),
-                       IntAt(7), IntAt(8), Pa, Pb, Pc);
-    });
+    int64_t Prefixes =
+        std::accumulate(Counts.begin(), Counts.end(), int64_t(0));
+    unsigned N = Op->getNumOperands();
+    if (Counts.size() != 3 || 9 + Prefixes != N)
+      return Op->emitOpError()
+             << "executor: prefix_counts do not match the operands";
+    // The prefix indices are gathered into int scratch for the kernel.
+    Fn.Scratch[0] = std::max<unsigned>(Fn.Scratch[0], Prefixes);
+    uint32_t At = Fn.Pool.size();
+    Fn.Pool.insert(Fn.Pool.end(), Counts.begin(), Counts.end());
+    operandSlots(Op, 0, N, false);
+    emit(Opcode::Xsmm, 0, 0, 0, At);
     return success();
   }
 
   return Op->emitOpError() << "executor: unsupported operation";
 }
 
-} // namespace
+//===----------------------------------------------------------------------===//
+// The dispatch loop
+//===----------------------------------------------------------------------===//
 
-//===----------------------------------------------------------------------===//
-// Executor
-//===----------------------------------------------------------------------===//
+/// Runs the moves of the edge at \p E in \p F and returns its target.
+size_t takeEdge(Frame &F, const CompiledFunction &Fn, const uint32_t *E) {
+  const uint32_t *Move = E + 3;
+  for (uint32_t I = 0; I < E[1]; ++I) {
+    Slot Src = unpack(Move[2 * I]);
+    unsigned Scratch = Fn.NumSlots[static_cast<int>(Src.Kind)] + I;
+    F.copy(F, Src, E[2] ? Scratch : Move[2 * I + 1]);
+  }
+  for (uint32_t I = 0; E[2] && I < E[1]; ++I) {
+    SlotKind Kind = unpack(Move[2 * I]).Kind;
+    F.copy(F, {Kind, Fn.NumSlots[static_cast<int>(Kind)] + I},
+           Move[2 * I + 1]);
+  }
+  return E[0];
+}
+
+/// The element of \p B at the index slots \p Idx of the int file \p I: the
+/// rank is \p Rank, or \p N for the generic form (Rank 0).
+template <unsigned Rank>
+double &element(const Buffer &B, const int64_t *I, const uint32_t *Idx,
+                unsigned N) {
+  int64_t Linear = B.Offset;
+  for (unsigned K = 0; K < (Rank ? Rank : N); ++K)
+    Linear += I[Idx[K]] * B.Strides[K];
+  return (*B.Data)[Linear];
+}
+
+int64_t floorDivSI(int64_t A, int64_t B) {
+  return B ? A / B - ((A % B) != 0 && ((A < 0) != (B < 0))) : 0;
+}
+
+int64_t ceilDivSI(int64_t A, int64_t B) {
+  return B ? A / B + ((A % B) != 0 && ((A < 0) == (B < 0))) : 0;
+}
+
+/// Writes the view of \p In that the counted offset, size and stride slot
+/// lists at \p Q describe into \p Out's existing storage.
+void subview(Buffer &Out, const Buffer &In, const int64_t *I,
+             const uint32_t *Q) {
+  Out.Data = In.Data;
+  Out.Offset = In.Offset;
+  for (uint32_t K = 0; K < Q[0]; ++K)
+    Out.Offset += I[Q[1 + K]] * In.Strides[K];
+  Q += Q[0] + 1;
+  Out.Sizes.resize(Q[0]);
+  for (uint32_t K = 0; K < Q[0]; ++K)
+    Out.Sizes[K] = I[Q[1 + K]];
+  Q += Q[0] + 1;
+  Out.Strides.resize(Q[0]);
+  for (uint32_t K = 0; K < Q[0]; ++K)
+    Out.Strides[K] = I[Q[1 + K]] * In.Strides[K];
+}
+
+void xsmm(Frame &F, const CompiledFunction &Fn, const uint32_t *Q) {
+  int64_t *I = F.Ints.data(), *Prefix = I + Fn.NumSlots[0];
+  Buffer *M = F.Bufs.data();
+  const uint32_t *Ops = Q + 3;
+  for (uint32_t K = 0; K < Q[0] + Q[1] + Q[2]; ++K)
+    Prefix[K] = I[Ops[9 + K]];
+  xsmmMatmulKernel(M[Ops[0]], M[Ops[1]], M[Ops[2]], I[Ops[3]], I[Ops[4]],
+                   I[Ops[5]], I[Ops[6]], I[Ops[7]], I[Ops[8]],
+                   ArrayRef<int64_t>(Prefix, Q[0]),
+                   ArrayRef<int64_t>(Prefix + Q[0], Q[1]),
+                   ArrayRef<int64_t>(Prefix + Q[0] + Q[1], Q[2]));
+}
+
+} // namespace
 
 FailureOr<const CompiledFunction *>
 Executor::Impl::compile(std::string_view Name) {
@@ -837,86 +814,177 @@ Executor::Impl::compile(std::string_view Name) {
   return (Cache[std::string(Name)] = std::move(Compiled)).get();
 }
 
-FailureOr<std::vector<RuntimeValue>>
-Executor::Impl::invoke(const CompiledFunction &Fn,
-                       std::vector<RuntimeValue> Args, int64_t &OpCount) {
-  if (Args.size() != Fn.ArgSlots.size())
-    return Module->emitError() << "executor: argument count mismatch";
-  Frame F;
-  F.Ints = Fn.IntInit;
-  F.Floats.resize(Fn.NumFloats + Fn.MaxCopies);
-  F.Bufs.resize(Fn.NumBufs + Fn.MaxCopies);
-  for (size_t I = 0; I < Args.size(); ++I)
-    F.set(Fn.ArgSlots[I], Args[I]);
-  // Branch copies have parallel semantics: every edge source is staged in
-  // the frame's scratch slots before any destination block argument is
-  // written.
-  const unsigned ScratchBase[] = {Fn.NumInts, Fn.NumFloats, Fn.NumBufs};
-  auto RunCopies = [&](const std::vector<BranchCopy> &Copies) {
-    for (unsigned I = 0; I < Copies.size(); ++I)
-      F.copy(Copies[I].Src, ScratchBase[int(Copies[I].Src.Kind)] + I);
-    for (unsigned I = 0; I < Copies.size(); ++I) {
-      Slot Dst = Copies[I].Dst;
-      F.copy({Dst.Kind, ScratchBase[int(Dst.Kind)] + I}, Dst.Index);
-    }
+/// The frame at \p Depth, sized for \p Fn. Frames are reused across calls
+/// and runs and never shrink, so a warm frame does not allocate.
+Frame &Executor::Impl::enter(const CompiledFunction &Fn, size_t Depth) {
+  while (Frames.size() <= Depth)
+    Frames.push_back(std::make_unique<Frame>());
+  Frame &F = *Frames[Depth];
+  auto Grow = [](auto &File, size_t Size) {
+    if (File.size() < Size)
+      File.resize(Size);
   };
-  // The one dispatch loop: run a block's ops, then its terminator.
-  for (int Current = 0;;) {
-    const CompiledBlock &B = Fn.Blocks[Current];
-    for (const CompiledOp &Op : B.Body)
-      Op(F);
-    switch (B.Kind) {
-    case CompiledBlock::Term::Return: {
-      std::vector<RuntimeValue> Results;
-      for (Slot S : B.Operands)
-        Results.push_back(F.get(S));
-      OpCount = F.OpCount + B.Cost;
-      return Results;
-    }
-    case CompiledBlock::Term::Br:
-    case CompiledBlock::Term::CondBr: {
-      F.OpCount += B.Cost;
-      bool Taken = B.Kind == CompiledBlock::Term::Br || F.Ints[B.Cond] != 0;
-      RunCopies(Taken ? B.TrueCopies : B.FalseCopies);
-      Current = Taken ? B.TrueDest : B.FalseDest;
+  Grow(F.Ints, Fn.NumSlots[0] + Fn.Scratch[0]);
+  Grow(F.Floats, Fn.NumSlots[1] + Fn.Scratch[1]);
+  Grow(F.Bufs, Fn.NumSlots[2] + Fn.Scratch[2]);
+  std::copy(Fn.IntInit.begin(), Fn.IntInit.end(), F.Ints.begin());
+  return F;
+}
+
+/// Runs \p Fn in the frame at \p Depth, whose argument slots are set, and
+/// adds its executed ops to \p Ops. Returns the Return instruction that
+/// ended it, or null on failure.
+const Instr *Executor::Impl::invoke(const CompiledFunction &Fn, size_t Depth,
+                                    int64_t &Ops) {
+  Frame &F = *Frames[Depth];
+  int64_t *I = F.Ints.data();
+  double *R = F.Floats.data();
+  Buffer *M = F.Bufs.data();
+  const Instr *Code = Fn.Code.data();
+  const uint32_t *P = Fn.Pool.data();
+  auto Jump = [&](const uint32_t *Edge) {
+    return Edge[1] ? takeEdge(F, Fn, Edge) : Edge[0];
+  };
+  int64_t Count = 0;
+  for (size_t PC = 0;;) {
+    const Instr &In = Code[PC++];
+    Count += In.Cost;
+    switch (In.Op) {
+#define BINARY(Name, File, Expr)                                               \
+  case Opcode::Name: {                                                         \
+    auto X = File[In.B], Y = File[In.C];                                       \
+    File[In.A] = (Expr);                                                       \
+    break;                                                                     \
+  }
+#define COMPARE(Name, Expr)                                                    \
+  BINARY(Cmp##Name, I, Expr)                                                   \
+  case Opcode::Br##Name: {                                                     \
+    int64_t X = I[In.B], Y = I[In.C];                                          \
+    bool Holds = (Expr);                                                       \
+    I[In.A] = Holds;                                                           \
+    PC = Jump(P + (Holds ? In.D : In.Imm));                                    \
+    break;                                                                     \
+  }
+      BINARY(AddI, I, X + Y)
+      BINARY(SubI, I, X - Y)
+      BINARY(MulI, I, X * Y)
+      BINARY(DivSI, I, Y ? X / Y : 0)
+      BINARY(RemSI, I, Y ? X % Y : 0)
+      BINARY(MinSI, I, std::min(X, Y))
+      BINARY(MaxSI, I, std::max(X, Y))
+      BINARY(FloorDivSI, I, floorDivSI(X, Y))
+      BINARY(CeilDivSI, I, ceilDivSI(X, Y))
+      BINARY(AndI, I, X & Y)
+      BINARY(OrI, I, X | Y)
+      BINARY(XOrI, I, X ^ Y)
+      BINARY(AddF, R, X + Y)
+      BINARY(SubF, R, X - Y)
+      BINARY(MulF, R, X * Y)
+      BINARY(DivF, R, X / Y)
+      BINARY(MinF, R, std::min(X, Y))
+      BINARY(MaxF, R, std::max(X, Y))
+      COMPARE(Eq, X == Y)
+      COMPARE(Ne, X != Y)
+      COMPARE(Slt, X < Y)
+      COMPARE(Sle, X <= Y)
+      COMPARE(Ult, uint64_t(X) < uint64_t(Y))
+      COMPARE(Ule, uint64_t(X) <= uint64_t(Y))
+#undef COMPARE
+#undef BINARY
+    case Opcode::ConstI:
+      I[In.A] = In.Imm;
+      break;
+    case Opcode::ConstF:
+      R[In.A] = In.FImm;
+      break;
+    case Opcode::SelectI:
+      I[In.A] = I[In.B] ? I[In.C] : I[In.D];
+      break;
+    case Opcode::SelectF:
+      R[In.A] = I[In.B] ? R[In.C] : R[In.D];
+      break;
+    case Opcode::CastI:
+      I[In.A] = I[In.B];
+      break;
+    case Opcode::SIToFP:
+      R[In.A] = static_cast<double>(I[In.B]);
+      break;
+    case Opcode::Affine: {
+      int64_t *Operands = I + Fn.NumSlots[0], *Results = Operands + In.B;
+      for (uint32_t K = 0; K < In.B; ++K)
+        Operands[K] = I[P[In.D + K]];
+      Fn.Maps[In.Imm].evaluate(ArrayRef<int64_t>(Operands, In.B), Results);
+      I[In.A] = *std::min_element(Results, Results + In.C);
       break;
     }
-    case CompiledBlock::Term::LoopEnter:
-    case CompiledBlock::Term::LoopNext: {
-      int64_t &Iv = F.Ints[B.Loop.Iv];
-      Iv = B.Kind == CompiledBlock::Term::LoopEnter ? F.Ints[B.Loop.Lb]
-                                                     : Iv + F.Ints[B.Loop.Step];
-      // A one-block body ends in the LoopNext that re-enters it: iterate it
-      // here, which saves structured loops a dispatch per iteration.
-      while (B.TrueDest == Current && Iv < F.Ints[B.Loop.Ub]) {
-        F.OpCount += B.Cost;
-        for (const CompiledOp &Op : B.Body)
-          Op(F);
-        Iv += F.Ints[B.Loop.Step];
+    case Opcode::Alloc:
+      M[In.A] = Buffer::alloc(Fn.Shapes[In.Imm]);
+      break;
+    case Opcode::Nop:
+      break;
+#define ACCESS(Rank, Suffix)                                                   \
+  case Opcode::Load##Suffix:                                                   \
+    R[In.A] = element<Rank>(M[In.B], I, P + In.D, In.C);                       \
+    break;                                                                     \
+  case Opcode::Store##Suffix:                                                  \
+    element<Rank>(M[In.B], I, P + In.D, In.C) = R[In.A];                       \
+    break;
+      ACCESS(1, 1)
+      ACCESS(2, 2)
+      ACCESS(3, 3)
+      ACCESS(0, N)
+#undef ACCESS
+    case Opcode::SubView:
+      subview(M[In.A], M[In.B], I, P + In.D);
+      break;
+    case Opcode::Copy:
+      copyView(M[In.B], M[In.A]);
+      break;
+    case Opcode::Xsmm:
+      xsmm(F, Fn, P + In.D);
+      break;
+    case Opcode::Call: {
+      CompiledFunction::Callee &Target = Fn.Callees[In.Imm];
+      if (!Target.Fn) {
+        auto Compiled = compile(Target.Name);
+        if (failed(Compiled))
+          return nullptr;
+        Target.Fn = *Compiled;
       }
-      bool Enter = Iv < F.Ints[B.Loop.Ub];
-      F.OpCount += Enter ? B.Cost : 0;
-      Current = Enter ? B.TrueDest : B.FalseDest;
+      const CompiledFunction &Callee = *Target.Fn;
+      if (In.B != Callee.Args.size()) {
+        Module->emitError() << "executor: argument count mismatch";
+        return nullptr;
+      }
+      Frame &G = enter(Callee, Depth + 1);
+      for (uint32_t K = 0; K < In.B; ++K)
+        G.copy(F, unpack(P[In.D + K]), unpack(Callee.Args[K]).Index);
+      const Instr *Ret = invoke(Callee, Depth + 1, Count);
+      if (!Ret)
+        return nullptr;
+      const uint32_t *Values = Callee.Pool.data() + Ret->D;
+      for (uint32_t K = 0; K < In.C && K < Ret->C; ++K)
+        F.copy(G, unpack(Values[K]), unpack(P[In.D + In.B + K]).Index);
       break;
     }
-    case CompiledBlock::Term::Call: {
-      F.OpCount += B.Cost;
-      auto Callee = compile(B.Callee);
-      if (failed(Callee))
-        return failure();
-      std::vector<RuntimeValue> CallArgs;
-      for (Slot S : B.Operands)
-        CallArgs.push_back(F.get(S));
-      int64_t Nested = 0;
-      auto Results = invoke(**Callee, std::move(CallArgs), Nested);
-      if (failed(Results))
-        return failure();
-      F.OpCount += Nested;
-      for (size_t I = 0; I < B.Results.size() && I < Results->size(); ++I)
-        F.set(B.Results[I], (*Results)[I]);
-      Current = B.TrueDest;
+    case Opcode::LoopEnter:
+      I[In.A] = I[In.B];
+      if (!(I[In.A] < I[In.C]))
+        PC = In.Imm;
       break;
-    }
+    case Opcode::LoopNext:
+      if ((I[In.A] += I[In.B]) < I[In.C])
+        PC = In.Imm;
+      break;
+    case Opcode::Br:
+      PC = Jump(P + In.D);
+      break;
+    case Opcode::CondBr:
+      PC = Jump(P + (I[In.B] ? In.D : In.Imm));
+      break;
+    case Opcode::Return:
+      Ops += Count;
+      return &In;
     }
   }
 }
@@ -929,13 +997,37 @@ Executor::~Executor() = default;
 
 FailureOr<std::vector<RuntimeValue>>
 Executor::run(std::string_view Name, std::vector<RuntimeValue> Args) {
-  auto Fn = TheImpl->compile(Name);
+  static telemetry::Counter &Runs = telemetry::counter("exec.runs");
+  static telemetry::Counter &Executed =
+      telemetry::counter("exec.executed_ops");
+  telemetry::ScopedSpan Span("exec:run", "exec");
+  if (Span.isActive())
+    Span.arg("function", Name);
+  Runs.add();
+  Impl &X = *TheImpl;
+  X.LastOpCount = 0;
+  auto Fn = X.compile(Name);
   if (failed(Fn))
     return failure();
-  int64_t OpCount = 0;
-  auto Result = TheImpl->invoke(**Fn, std::move(Args), OpCount);
-  TheImpl->LastOpCount = OpCount;
-  return Result;
+  if (Args.size() != (*Fn)->Args.size())
+    return X.Module->emitError() << "executor: argument count mismatch";
+  Frame &F = X.enter(**Fn, 0);
+  for (size_t I = 0; I < Args.size(); ++I)
+    F.set(unpack((*Fn)->Args[I]), Args[I]);
+  int64_t Ops = 0;
+  const Instr *Ret = X.invoke(**Fn, 0, Ops);
+  std::vector<RuntimeValue> Results;
+  for (uint32_t I = 0; Ret && I < Ret->C; ++I)
+    Results.push_back(F.get(unpack((*Fn)->Pool[Ret->D + I])));
+  // Frames keep their storage for the next run but not the caller's data.
+  for (auto &Held : X.Frames)
+    for (Buffer &B : Held->Bufs)
+      B.Data.reset();
+  if (!Ret)
+    return failure();
+  X.LastOpCount = Ops;
+  Executed.add(Ops);
+  return Results;
 }
 
 int64_t Executor::getLastOpCount() const { return TheImpl->LastOpCount; }

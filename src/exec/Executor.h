@@ -5,13 +5,26 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Executes payload IR (func/scf/cf/arith/memref/affine/xsmm) by compiling
-/// each function once into a block program that one dispatch loop runs;
-/// `scf` loops and branches compile to blocks too. Loop structure is kept,
-/// so the measured run time responds to tiling, unrolling, interchange, and
-/// microkernel substitution — the quantities Sections 4.4/4.5 of the paper
-/// study. The `xsmm.matmul` op dispatches to a natively compiled
-/// register-blocked kernel (the LIBXSMM substitute).
+/// Executes payload IR (func/scf/cf/arith/memref/affine/xsmm) as a register
+/// machine. Each function compiles once into one flat instruction array:
+/// plain records of an opcode, slot indices into typed register files, an
+/// immediate and an offset into a per-function pool of slot indices. One
+/// `switch` loop runs it. `scf` loops and branches compile inline to jumps;
+/// CFG terminators become jumps with resolved targets whose block-argument
+/// moves ride inside the jump (staged through scratch slots only when a
+/// later move reads an earlier destination, as in a swap). An `arith.cmpi`
+/// right before the `cf.cond_br` it feeds fuses into one compare-and-branch
+/// instruction, and the hot arith kinds and rank-1..3 loads and stores each
+/// have their own opcode. Frames come from a stack the Executor keeps across
+/// runs, so a warm run allocates nothing.
+///
+/// The executed-op count is a contract: the autotuner minimizes it, so a
+/// fused instruction still counts every op it stands for (see
+/// getLastOpCount). Loop structure is kept, so the measured run time
+/// responds to tiling, unrolling, interchange, and microkernel substitution
+/// — the quantities Sections 4.4/4.5 of the paper study. The `xsmm.matmul`
+/// op dispatches to a natively compiled register-blocked kernel (the
+/// LIBXSMM substitute).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -20,6 +33,7 @@
 
 #include "ir/IR.h"
 #include "support/LogicalResult.h"
+#include "support/STLExtras.h"
 
 #include <memory>
 #include <vector>
@@ -54,7 +68,9 @@ struct RuntimeValue {
   static RuntimeValue makeBuffer(Buffer Value);
 };
 
-/// Compiles functions of a payload module to block programs and runs them.
+/// Compiles functions of a payload module to instruction programs and runs
+/// them. Every run adds to the `exec.runs` and `exec.executed_ops` registry
+/// counters and records one `exec:run` span naming the function.
 class Executor {
 public:
   explicit Executor(Operation *Module);
@@ -67,8 +83,11 @@ public:
   FailureOr<std::vector<RuntimeValue>> run(std::string_view Name,
                                            std::vector<RuntimeValue> Args);
 
-  /// Ops executed by the last run, loop iterations and branches included; a
-  /// proxy for interpretation overhead in the ablation benchmark.
+  /// Ops executed by the last run (0 after a failed one): every payload op
+  /// counts 1, a structured-loop iteration 1, `scf.if` 1, a `func.call` 1
+  /// plus its callee's ops, every `cf.*` terminator and multi-block
+  /// `func.return` 1, a single-block `func.return` 0. A proxy for
+  /// interpretation overhead and the tuning objective of strategy dispatch.
   int64_t getLastOpCount() const;
 
   struct Impl;
@@ -97,9 +116,8 @@ FailureOr<double> measureExecutionSeconds(Operation *Module,
 /// C[pc.., i, j] += A[pa.., i, k] * B[pb.., k, j] over the given ranges.
 void xsmmMatmulKernel(Buffer &A, Buffer &B, Buffer &C, int64_t ILo,
                       int64_t IHi, int64_t JLo, int64_t JHi, int64_t KLo,
-                      int64_t KHi, const std::vector<int64_t> &PrefixA,
-                      const std::vector<int64_t> &PrefixB,
-                      const std::vector<int64_t> &PrefixC);
+                      int64_t KHi, ArrayRef<int64_t> PrefixA,
+                      ArrayRef<int64_t> PrefixB, ArrayRef<int64_t> PrefixC);
 
 } // namespace exec
 } // namespace tdl

@@ -186,8 +186,8 @@ AffineExpr AffineExpr::operator%(int64_t Rhs) const {
                              getAffineConstantExpr(*getContext(), Rhs));
 }
 
-int64_t AffineExpr::evaluate(const std::vector<int64_t> &Dims,
-                             const std::vector<int64_t> &Symbols) const {
+int64_t AffineExpr::evaluate(ArrayRef<int64_t> Dims,
+                             ArrayRef<int64_t> Symbols) const {
   switch (getKind()) {
   case AffineExprKind::DimId:
     assert(getPosition() < Dims.size() && "dim index out of range");
@@ -326,17 +326,18 @@ unsigned AffineMap::getNumResults() const { return Impl->Results.size(); }
 Context *AffineMap::getContext() const { return Impl->Ctx; }
 uint64_t AffineMap::getHash() const { return Impl->Hash; }
 
-std::vector<int64_t>
-AffineMap::evaluate(const std::vector<int64_t> &Operands) const {
-  assert(Operands.size() == getNumInputs() && "wrong operand count");
-  std::vector<int64_t> Dims(Operands.begin(), Operands.begin() + getNumDims());
-  std::vector<int64_t> Symbols(Operands.begin() + getNumDims(),
-                               Operands.end());
-  std::vector<int64_t> Values;
-  Values.reserve(getNumResults());
-  for (AffineExpr Expr : getResults())
-    Values.push_back(Expr.evaluate(Dims, Symbols));
+std::vector<int64_t> AffineMap::evaluate(ArrayRef<int64_t> Operands) const {
+  std::vector<int64_t> Values(getNumResults());
+  evaluate(Operands, Values.data());
   return Values;
+}
+
+void AffineMap::evaluate(ArrayRef<int64_t> Operands, int64_t *Results) const {
+  assert(Operands.size() == getNumInputs() && "wrong operand count");
+  ArrayRef<int64_t> Dims(Operands.begin(), getNumDims());
+  ArrayRef<int64_t> Symbols(Operands.begin() + getNumDims(), getNumSymbols());
+  for (AffineExpr Expr : getResults())
+    *Results++ = Expr.evaluate(Dims, Symbols);
 }
 
 void AffineMap::print(raw_ostream &OS) const {

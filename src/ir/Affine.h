@@ -14,6 +14,8 @@
 #ifndef TDL_IR_AFFINE_H
 #define TDL_IR_AFFINE_H
 
+#include "support/STLExtras.h"
+
 #include <cassert>
 #include <cstdint>
 #include <string>
@@ -76,8 +78,7 @@ public:
   AffineExpr operator%(int64_t Rhs) const;
 
   /// Evaluates the expression with concrete dim and symbol values.
-  int64_t evaluate(const std::vector<int64_t> &Dims,
-                   const std::vector<int64_t> &Symbols) const;
+  int64_t evaluate(ArrayRef<int64_t> Dims, ArrayRef<int64_t> Symbols) const;
 
   /// True if the expression is a plain constant.
   bool isConstant() const { return getKind() == AffineExprKind::Constant; }
@@ -126,7 +127,10 @@ public:
   Context *getContext() const;
 
   /// Evaluates all results given concatenated dim-then-symbol operands.
-  std::vector<int64_t> evaluate(const std::vector<int64_t> &Operands) const;
+  std::vector<int64_t> evaluate(ArrayRef<int64_t> Operands) const;
+  /// The same into \p Results, which holds getNumResults() values; allocates
+  /// nothing, so the executor can evaluate into per-frame scratch.
+  void evaluate(ArrayRef<int64_t> Operands, int64_t *Results) const;
 
   void print(raw_ostream &OS) const;
   std::string str() const;

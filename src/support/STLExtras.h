@@ -14,11 +14,43 @@
 #define TDL_SUPPORT_STLEXTRAS_H
 
 #include <algorithm>
+#include <cstddef>
+#include <initializer_list>
 #include <string>
 #include <string_view>
 #include <vector>
 
 namespace tdl {
+
+/// A borrowed read-only run of elements: a vector, a braced list, or a
+/// pointer and a count (the C++17 stand-in for `std::span<const T>`). It
+/// owns nothing, so it must not outlive the storage it views.
+template <typename T> class ArrayRef {
+public:
+  ArrayRef() = default;
+  ArrayRef(const T *Data, size_t Size) : Data(Data), Size(Size) {}
+  ArrayRef(const std::vector<T> &V) : Data(V.data()), Size(V.size()) {}
+  // A braced argument list outlives the call it is passed to, which is the
+  // one use this constructor serves.
+#if defined(__GNUC__) && !defined(__clang__)
+#pragma GCC diagnostic push
+#pragma GCC diagnostic ignored "-Winit-list-lifetime"
+#endif
+  ArrayRef(std::initializer_list<T> L) : Data(L.begin()), Size(L.size()) {}
+#if defined(__GNUC__) && !defined(__clang__)
+#pragma GCC diagnostic pop
+#endif
+
+  const T *begin() const { return Data; }
+  const T *end() const { return Data + Size; }
+  size_t size() const { return Size; }
+  bool empty() const { return Size == 0; }
+  const T &operator[](size_t I) const { return Data[I]; }
+
+private:
+  const T *Data = nullptr;
+  size_t Size = 0;
+};
 
 /// Returns true if \p Range contains \p Value.
 template <typename Range, typename T>

@@ -15,13 +15,66 @@
 #include "lowering/Passes.h"
 
 #include <cmath>
+#include <cstdlib>
 #include <gtest/gtest.h>
+#include <new>
 
 using namespace tdl;
 using exec::Buffer;
 using exec::RuntimeValue;
 
+// Counts `operator new` calls on this thread while an AllocationCounter is
+// alive. Every replaceable unaligned form routes to one malloc/free pair, so
+// the sanitizers still see matching allocations; the aligned forms keep
+// their own matching pair. The pair stays out of line, so the optimizer
+// does not pair a new-expression with free() or a different delete form.
+static thread_local int64_t *ThreadAllocations = nullptr;
+
+__attribute__((noinline)) static void *countedAlloc(std::size_t Size) {
+  if (ThreadAllocations)
+    ++*ThreadAllocations;
+  return std::malloc(Size ? Size : 1);
+}
+__attribute__((noinline)) static void countedFree(void *P) { std::free(P); }
+
+void *operator new(std::size_t Size) {
+  if (void *P = countedAlloc(Size))
+    return P;
+  throw std::bad_alloc();
+}
+void *operator new[](std::size_t Size) {
+  if (void *P = countedAlloc(Size))
+    return P;
+  throw std::bad_alloc();
+}
+void *operator new(std::size_t Size, const std::nothrow_t &) noexcept {
+  return countedAlloc(Size);
+}
+void *operator new[](std::size_t Size, const std::nothrow_t &) noexcept {
+  return countedAlloc(Size);
+}
+void operator delete(void *P) noexcept { countedFree(P); }
+void operator delete[](void *P) noexcept { countedFree(P); }
+void operator delete(void *P, std::size_t) noexcept { countedFree(P); }
+void operator delete[](void *P, std::size_t) noexcept { countedFree(P); }
+void operator delete(void *P, const std::nothrow_t &) noexcept {
+  countedFree(P);
+}
+void operator delete[](void *P, const std::nothrow_t &) noexcept {
+  countedFree(P);
+}
+
 namespace {
+
+class AllocationCounter {
+public:
+  AllocationCounter() { ThreadAllocations = &Count; }
+  ~AllocationCounter() { ThreadAllocations = nullptr; }
+  int64_t count() const { return Count; }
+
+private:
+  int64_t Count = 0;
+};
 
 class ExecutorTest : public ::testing::Test {
 protected:
@@ -691,6 +744,396 @@ TEST_F(ExecutorTest, StructuredAndLoweredFormsAgree) {
   EXPECT_DOUBLE_EQ(Out1.at({0}), Out2.at({0}));
   for (int I = 0; I < 16; ++I)
     EXPECT_DOUBLE_EQ((*M1.Data)[I], (*M2.Data)[I]) << "element " << I;
+}
+
+//===----------------------------------------------------------------------===//
+// Fused compare-and-branch, edge moves and rank-specialized memory access
+//===----------------------------------------------------------------------===//
+
+TEST_F(ExecutorTest, FusedCompareBranchEveryPredicate) {
+  // Each predicate tests a cf.cond_br right after it, so the two compile to
+  // one instruction. Both edges carry block arguments into a join with two
+  // incoming edges: true gives a - b, false b - a.
+  struct Pred {
+    const char *Name;
+    bool (*Holds)(int64_t, int64_t);
+  };
+  const Pred Preds[] = {
+      {"eq", [](int64_t A, int64_t B) { return A == B; }},
+      {"ne", [](int64_t A, int64_t B) { return A != B; }},
+      {"slt", [](int64_t A, int64_t B) { return A < B; }},
+      {"sle", [](int64_t A, int64_t B) { return A <= B; }},
+      {"sgt", [](int64_t A, int64_t B) { return A > B; }},
+      {"sge", [](int64_t A, int64_t B) { return A >= B; }},
+      {"ult", [](int64_t A, int64_t B) { return uint64_t(A) < uint64_t(B); }},
+      {"ule", [](int64_t A, int64_t B) { return uint64_t(A) <= uint64_t(B); }},
+      {"ugt", [](int64_t A, int64_t B) { return uint64_t(A) > uint64_t(B); }},
+      {"uge", [](int64_t A, int64_t B) { return uint64_t(A) >= uint64_t(B); }},
+  };
+  for (const Pred &P : Preds) {
+    OwningOpRef Module = parseSourceString(Ctx, std::string(R"(
+      "builtin.module"() ({
+        "func.func"() ({
+        ^bb0(%a: index, %b: index):
+          %c = "arith.cmpi"(%a, %b) {predicate = ")") + P.Name + R"("}
+            : (index, index) -> (i1)
+          "cf.cond_br"(%c, %a, %b, %b, %a)[^join, ^join]
+            {true_count = 2 : i64} : (i1, index, index, index, index) -> ()
+        ^join(%x: index, %y: index):
+          %d = "arith.subi"(%x, %y) : (index, index) -> (index)
+          "func.return"(%d) : (index) -> ()
+        }) {sym_name = "f", function_type = (index, index) -> index}
+          : () -> ()
+      }) : () -> ()
+    )");
+    ASSERT_TRUE(Module) << P.Name;
+    ASSERT_TRUE(succeeded(verify(Module.get()))) << P.Name;
+    exec::Executor Exec(Module.get());
+    for (auto [A, B] : {std::pair<int64_t, int64_t>{1, 2}, {2, 2}, {3, 2},
+                        {-1, 2}, {2, -1}}) {
+      auto Result = Exec.run("f", {RuntimeValue::makeInt(A),
+                                   RuntimeValue::makeInt(B)});
+      ASSERT_TRUE(succeeded(Result)) << P.Name;
+      EXPECT_EQ((*Result)[0].I, P.Holds(A, B) ? A - B : B - A)
+          << P.Name << "(" << A << ", " << B << ")";
+      // cmpi, cond_br, subi and the multi-block return.
+      EXPECT_EQ(Exec.getLastOpCount(), 4) << P.Name;
+    }
+  }
+}
+
+TEST_F(ExecutorTest, FusedCompareResultIsReadAfterTheBranch) {
+  OwningOpRef Module = parseSourceString(Ctx, R"(
+    "builtin.module"() ({
+      "func.func"() ({
+      ^bb0(%a: index, %b: index):
+        %c = "arith.cmpi"(%a, %b) {predicate = "slt"} : (index, index) -> (i1)
+        "cf.cond_br"(%c, %a, %b)[^join, ^join] {true_count = 1 : i64}
+          : (i1, index, index) -> ()
+      ^join(%r: index):
+        %hundred = "arith.constant"() {value = 100 : index} : () -> (index)
+        %s = "arith.select"(%c, %r, %hundred) : (i1, index, index) -> (index)
+        %bit = "arith.index_cast"(%c) : (i1) -> (index)
+        %t = "arith.addi"(%s, %bit) : (index, index) -> (index)
+        "func.return"(%t) : (index) -> ()
+      }) {sym_name = "f", function_type = (index, index) -> index} : () -> ()
+    }) : () -> ()
+  )");
+  ASSERT_TRUE(Module);
+  ASSERT_TRUE(succeeded(verify(Module.get())));
+  exec::Executor Exec(Module.get());
+  auto Result = Exec.run("f", {RuntimeValue::makeInt(3),
+                               RuntimeValue::makeInt(7)});
+  ASSERT_TRUE(succeeded(Result));
+  EXPECT_EQ((*Result)[0].I, 3 + 1);
+  EXPECT_EQ(Exec.getLastOpCount(), 7);
+  Result = Exec.run("f", {RuntimeValue::makeInt(9), RuntimeValue::makeInt(7)});
+  ASSERT_TRUE(succeeded(Result));
+  EXPECT_EQ((*Result)[0].I, 100);
+  EXPECT_EQ(Exec.getLastOpCount(), 7);
+}
+
+TEST_F(ExecutorTest, CfgSwapEdgeAndOneValueIntoTwoArguments) {
+  // The back edge swaps (a, b) and steps i; the exit edge copies a into
+  // both of its arguments. A negative n takes the entry's swapped exit.
+  OwningOpRef Module = parseSourceString(Ctx, R"(
+    "builtin.module"() ({
+      "func.func"() ({
+      ^bb0(%x: index, %y: index, %n: index):
+        %zero = "arith.constant"() {value = 0 : index} : () -> (index)
+        %one = "arith.constant"() {value = 1 : index} : () -> (index)
+        %neg = "arith.cmpi"(%n, %zero) {predicate = "slt"}
+          : (index, index) -> (i1)
+        "cf.cond_br"(%neg, %y, %x, %x, %y, %zero)[^exit, ^loop]
+          {true_count = 2 : i64}
+          : (i1, index, index, index, index, index) -> ()
+      ^loop(%a: index, %b: index, %i: index):
+        %next = "arith.addi"(%i, %one) : (index, index) -> (index)
+        %c = "arith.cmpi"(%i, %n) {predicate = "slt"} : (index, index) -> (i1)
+        "cf.cond_br"(%c, %b, %a, %next, %a, %a)[^loop, ^exit]
+          {true_count = 3 : i64}
+          : (i1, index, index, index, index, index) -> ()
+      ^exit(%p: index, %q: index):
+        "func.return"(%p, %q) : (index, index) -> ()
+      }) {sym_name = "f",
+          function_type = (index, index, index) -> (index, index)}
+        : () -> ()
+    }) : () -> ()
+  )");
+  ASSERT_TRUE(Module);
+  ASSERT_TRUE(succeeded(verify(Module.get())));
+  exec::Executor Exec(Module.get());
+  struct Case {
+    int64_t N, P, Q, Ops;
+  };
+  // Entry: two constants and a fused compare-branch (4); each loop visit:
+  // addi and a fused compare-branch (3); the return (1).
+  for (Case C : {Case{-1, 20, 10, 5}, Case{0, 10, 10, 8}, Case{2, 10, 10, 14},
+                 Case{3, 20, 20, 17}}) {
+    auto Result =
+        Exec.run("f", {RuntimeValue::makeInt(10), RuntimeValue::makeInt(20),
+                       RuntimeValue::makeInt(C.N)});
+    ASSERT_TRUE(succeeded(Result)) << C.N;
+    EXPECT_EQ((*Result)[0].I, C.P) << C.N;
+    EXPECT_EQ((*Result)[1].I, C.Q) << C.N;
+    EXPECT_EQ(Exec.getLastOpCount(), C.Ops) << C.N;
+  }
+}
+
+TEST_F(ExecutorTest, CfgBranchOperandComputedRightBeforeTheBranch) {
+  // %next is computed right before the back edge and could go straight
+  // into %i's slot, but the same edge still reads the old %i into %prev.
+  OwningOpRef Module = parseSourceString(Ctx, R"(
+    "builtin.module"() ({
+      "func.func"() ({
+      ^bb0(%n: index):
+        %zero = "arith.constant"() {value = 0 : index} : () -> (index)
+        %one = "arith.constant"() {value = 1 : index} : () -> (index)
+        "cf.br"(%zero, %zero)[^loop] : (index, index) -> ()
+      ^loop(%i: index, %prev: index):
+        %c = "arith.cmpi"(%i, %n) {predicate = "slt"} : (index, index) -> (i1)
+        "cf.cond_br"(%c)[^body, ^exit] {true_count = 0 : i64} : (i1) -> ()
+      ^body:
+        %next = "arith.addi"(%i, %one) : (index, index) -> (index)
+        "cf.br"(%next, %i)[^loop] : (index, index) -> ()
+      ^exit:
+        "func.return"(%i, %prev) : (index, index) -> ()
+      }) {sym_name = "f", function_type = (index) -> (index, index)}
+        : () -> ()
+    }) : () -> ()
+  )");
+  ASSERT_TRUE(Module);
+  ASSERT_TRUE(succeeded(verify(Module.get())));
+  exec::Executor Exec(Module.get());
+  auto Result = Exec.run("f", {RuntimeValue::makeInt(3)});
+  ASSERT_TRUE(succeeded(Result));
+  EXPECT_EQ((*Result)[0].I, 3);
+  EXPECT_EQ((*Result)[1].I, 2);
+  // Entry 3, four header visits 8, three bodies 6, the return 1.
+  EXPECT_EQ(Exec.getLastOpCount(), 18);
+}
+
+TEST_F(ExecutorTest, CfgFloatAndMemrefBlockArguments) {
+  // The loop carries a buffer and a float accumulator; the back edge swaps
+  // in the second buffer, so iterations after the first read %w.
+  OwningOpRef Module = parseSourceString(Ctx, R"(
+    "builtin.module"() ({
+      "func.func"() ({
+      ^bb0(%m: memref<4xf64>, %w: memref<4xf64>, %f: f64, %n: index):
+        %zero = "arith.constant"() {value = 0 : index} : () -> (index)
+        %one = "arith.constant"() {value = 1 : index} : () -> (index)
+        "cf.br"(%m, %f, %zero)[^loop] : (memref<4xf64>, f64, index) -> ()
+      ^loop(%buf: memref<4xf64>, %acc: f64, %i: index):
+        %c = "arith.cmpi"(%i, %n) {predicate = "slt"} : (index, index) -> (i1)
+        "cf.cond_br"(%c, %acc, %buf)[^body, ^exit] {true_count = 0 : i64}
+          : (i1, f64, memref<4xf64>) -> ()
+      ^body:
+        %v = "memref.load"(%buf, %i) : (memref<4xf64>, index) -> (f64)
+        %sum = "arith.addf"(%acc, %v) : (f64, f64) -> (f64)
+        %next = "arith.addi"(%i, %one) : (index, index) -> (index)
+        "cf.br"(%w, %sum, %next)[^loop] : (memref<4xf64>, f64, index) -> ()
+      ^exit(%r: f64, %out: memref<4xf64>):
+        "memref.store"(%r, %out, %zero) : (f64, memref<4xf64>, index) -> ()
+        "func.return"(%r) : (f64) -> ()
+      }) {sym_name = "f",
+          function_type = (memref<4xf64>, memref<4xf64>, f64, index) -> f64}
+        : () -> ()
+    }) : () -> ()
+  )");
+  ASSERT_TRUE(Module);
+  ASSERT_TRUE(succeeded(verify(Module.get())));
+  exec::Executor Exec(Module.get());
+  Buffer M = Buffer::alloc({4}), W = Buffer::alloc({4});
+  *M.Data = {1, 2, 3, 4};
+  *W.Data = {10, 20, 30, 40};
+  auto Result = Exec.run("f", {RuntimeValue::makeBuffer(M),
+                               RuntimeValue::makeBuffer(W),
+                               RuntimeValue::makeFloat(0.5),
+                               RuntimeValue::makeInt(3)});
+  ASSERT_TRUE(succeeded(Result));
+  EXPECT_DOUBLE_EQ((*Result)[0].F, 0.5 + 1 + 20 + 30);
+  EXPECT_DOUBLE_EQ(W.at({0}), 51.5);
+  EXPECT_DOUBLE_EQ(M.at({0}), 1);
+  // Entry 3, four header visits 8, three bodies 12, exit 2.
+  EXPECT_EQ(Exec.getLastOpCount(), 25);
+  Result = Exec.run("f", {RuntimeValue::makeBuffer(M),
+                          RuntimeValue::makeBuffer(W),
+                          RuntimeValue::makeFloat(0.5),
+                          RuntimeValue::makeInt(0)});
+  ASSERT_TRUE(succeeded(Result));
+  EXPECT_DOUBLE_EQ((*Result)[0].F, 0.5);
+  EXPECT_DOUBLE_EQ(M.at({0}), 0.5);
+  EXPECT_EQ(Exec.getLastOpCount(), 7);
+}
+
+TEST_F(ExecutorTest, LoadsAndStoresAtEveryRankThroughAStridedView) {
+  // A 6^r buffer viewed at offset 1 and stride 2 in every dimension: view
+  // element (k, ..) is base element (1 + 2k, ..).
+  for (int Rank = 1; Rank <= 4; ++Rank) {
+    std::vector<int64_t> Shape(Rank, 6), BaseStrides(Rank, 1);
+    for (int D = Rank - 2; D >= 0; --D)
+      BaseStrides[D] = BaseStrides[D + 1] * 6;
+    std::string BaseTy = "memref<", ViewTy = "memref<", Ones, Twos, Strides,
+                Idx1, Idx0, IdxTy;
+    int64_t Offset = 0;
+    for (int D = 0; D < Rank; ++D) {
+      std::string Sep = D ? ", " : "";
+      BaseTy += "6x";
+      ViewTy += "2x";
+      Ones += Sep + "1 : index";
+      Twos += Sep + "2 : index";
+      Strides += Sep + std::to_string(2 * BaseStrides[D]);
+      Idx1 += ", %one";
+      Idx0 += ", %zero";
+      IdxTy += ", index";
+      Offset += BaseStrides[D];
+    }
+    BaseTy += "f64>";
+    ViewTy += "f64, strided<[" + Strides +
+              "], offset: " + std::to_string(Offset) + ">>";
+    OwningOpRef Module = parseSourceString(Ctx, R"(
+      "builtin.module"() ({
+        "func.func"() ({
+        ^bb0(%m: )" + BaseTy + R"():
+          %zero = "arith.constant"() {value = 0 : index} : () -> (index)
+          %one = "arith.constant"() {value = 1 : index} : () -> (index)
+          %sv = "memref.subview"(%m) {static_offsets = [)" + Ones + R"(],
+            static_sizes = [)" + Twos + R"(], static_strides = [)" + Twos +
+                                                    R"(]}
+            : ()" + BaseTy + ") -> (" + ViewTy + R"()
+          %v = "memref.load"(%sv)" + Idx1 + R"() : ()" + ViewTy + IdxTy +
+                                                    R"() -> (f64)
+          %d = "arith.addf"(%v, %v) : (f64, f64) -> (f64)
+          "memref.store"(%d, %sv)" + Idx0 + R"() : (f64, )" + ViewTy +
+                                                    IdxTy + R"() -> ()
+          "func.return"(%v) : (f64) -> ()
+        }) {sym_name = "f", function_type = ()" + BaseTy + R"() -> f64}
+          : () -> ()
+      }) : () -> ()
+    )");
+    ASSERT_TRUE(Module) << "rank " << Rank;
+    ASSERT_TRUE(succeeded(verify(Module.get()))) << "rank " << Rank;
+    Buffer M = Buffer::alloc(Shape);
+    for (size_t I = 0; I < M.Data->size(); ++I)
+      (*M.Data)[I] = static_cast<double>(I);
+    exec::Executor Exec(Module.get());
+    auto Result = Exec.run("f", {RuntimeValue::makeBuffer(M)});
+    ASSERT_TRUE(succeeded(Result)) << "rank " << Rank;
+    // View (1, ..) is base (3, ..); view (0, ..) is base (1, ..).
+    std::vector<int64_t> Threes(Rank, 3), Ones1(Rank, 1);
+    double Loaded = static_cast<double>(M.linearIndex(Threes));
+    EXPECT_DOUBLE_EQ((*Result)[0].F, Loaded) << "rank " << Rank;
+    EXPECT_DOUBLE_EQ(M.at(Ones1), 2 * Loaded) << "rank " << Rank;
+    EXPECT_EQ(Exec.getLastOpCount(), 6) << "rank " << Rank;
+  }
+}
+
+TEST_F(ExecutorTest, RecursiveCallsGetTheirOwnFrames) {
+  // Every activation of @fact runs in its own frame of the executor's
+  // reused stack; a shared frame would clobber %n before the multiply.
+  OwningOpRef Module = parseSourceString(Ctx, R"(
+    "builtin.module"() ({
+      "func.func"() ({
+      ^bb0(%n: index):
+        %one = "arith.constant"() {value = 1 : index} : () -> (index)
+        %c = "arith.cmpi"(%n, %one) {predicate = "sle"} : (index, index) -> (i1)
+        "cf.cond_br"(%c)[^base, ^rec] {true_count = 0 : i64} : (i1) -> ()
+      ^base:
+        "func.return"(%one) : (index) -> ()
+      ^rec:
+        %m = "arith.subi"(%n, %one) : (index, index) -> (index)
+        %r = "func.call"(%m) {callee = @fact} : (index) -> (index)
+        %p = "arith.muli"(%n, %r) : (index, index) -> (index)
+        "func.return"(%p) : (index) -> ()
+      }) {sym_name = "fact", function_type = (index) -> index} : () -> ()
+    }) : () -> ()
+  )");
+  ASSERT_TRUE(Module);
+  ASSERT_TRUE(succeeded(verify(Module.get())));
+  exec::Executor Exec(Module.get());
+  for (int Run = 0; Run < 2; ++Run) {
+    auto Result = Exec.run("fact", {RuntimeValue::makeInt(5)});
+    ASSERT_TRUE(succeeded(Result));
+    EXPECT_EQ((*Result)[0].I, 120);
+    // Four recursive levels of 7 ops (the call counting 1) and a base of 4.
+    EXPECT_EQ(Exec.getLastOpCount(), 4 * 7 + 4);
+  }
+}
+
+//===----------------------------------------------------------------------===//
+// Steady-state allocation
+//===----------------------------------------------------------------------===//
+
+TEST_F(ExecutorTest, SecondRunMakesNoHeapAllocation) {
+  OwningOpRef Module = parseSourceString(Ctx, R"(
+    "builtin.module"() ({
+      "func.func"() ({
+      ^bb0(%v: memref<2x2xf64, strided<[4, 1], offset: 5>>, %x: f64):
+        %zero = "arith.constant"() {value = 0 : index} : () -> (index)
+        "memref.store"(%x, %v, %zero, %zero)
+          : (f64, memref<2x2xf64, strided<[4, 1], offset: 5>>, index, index)
+          -> ()
+        "func.return"() : () -> ()
+      }) {sym_name = "fill", visibility = "private",
+          function_type = (memref<2x2xf64, strided<[4, 1], offset: 5>>, f64)
+                          -> ()} : () -> ()
+      "func.func"() ({
+      ^bb0(%a: memref<4x4xf64>, %b: memref<4x4xf64>, %c: memref<4x4xf64>):
+        %zero = "arith.constant"() {value = 0 : index} : () -> (index)
+        %two = "arith.constant"() {value = 2 : index} : () -> (index)
+        %four = "arith.constant"() {value = 4 : index} : () -> (index)
+        %n = "affine.min"(%two) {map = affine_map<(d0) -> (d0 + 2, 8)>}
+          : (index) -> (index)
+        "xsmm.matmul"(%a, %b, %c, %zero, %n, %zero, %four, %zero, %four)
+          {prefix_counts = [0 : index, 0 : index, 0 : index],
+           library = "xsmm"}
+          : (memref<4x4xf64>, memref<4x4xf64>, memref<4x4xf64>, index, index,
+             index, index, index, index) -> ()
+        %sv = "memref.subview"(%c) {static_offsets = [1 : index, 1 : index],
+          static_sizes = [2 : index, 2 : index],
+          static_strides = [1 : index, 1 : index]}
+          : (memref<4x4xf64>) -> (memref<2x2xf64, strided<[4, 1], offset: 5>>)
+        %x = "arith.constant"() {value = 7.0 : f64} : () -> (f64)
+        "func.call"(%sv, %x) {callee = @fill}
+          : (memref<2x2xf64, strided<[4, 1], offset: 5>>, f64) -> ()
+        "func.return"() : () -> ()
+      }) {sym_name = "main",
+          function_type = (memref<4x4xf64>, memref<4x4xf64>, memref<4x4xf64>)
+                          -> ()} : () -> ()
+    }) : () -> ()
+  )");
+  ASSERT_TRUE(Module);
+  ASSERT_TRUE(succeeded(verify(Module.get())));
+  exec::Executor Exec(Module.get());
+  Buffer A = Buffer::alloc({4, 4}), B = Buffer::alloc({4, 4}),
+         C = Buffer::alloc({4, 4});
+  for (int I = 0; I < 16; ++I)
+    (*A.Data)[I] = (*B.Data)[I] = 1;
+  auto Args = [&] {
+    return std::vector<RuntimeValue>{RuntimeValue::makeBuffer(A),
+                                     RuntimeValue::makeBuffer(B),
+                                     RuntimeValue::makeBuffer(C)};
+  };
+  // The first run compiles both functions and sizes the frames, so the
+  // counter sees it allocate; the second must not.
+  int64_t Allocations[2];
+  bool Ran[2];
+  for (int Run = 0; Run < 2; ++Run) {
+    std::vector<RuntimeValue> RunArgs = Args();
+    AllocationCounter Counter;
+    Ran[Run] = succeeded(Exec.run("main", std::move(RunArgs)));
+    Allocations[Run] = Counter.count();
+  }
+  ASSERT_TRUE(Ran[0] && Ran[1]);
+  EXPECT_GT(Allocations[0], 0);
+  EXPECT_EQ(Allocations[1], 0);
+  // affine.min, xsmm.matmul, subview, a constant and the call, the callee's
+  // constant and store, plus the three constants of main.
+  EXPECT_EQ(Exec.getLastOpCount(), 10);
+  // Two matmuls of ones accumulated 8 into every C element; then fill
+  // wrote 7 at view (0, 0), C (1, 1).
+  EXPECT_DOUBLE_EQ(C.at({0, 0}), 8);
+  EXPECT_DOUBLE_EQ(C.at({1, 1}), 7);
 }
 
 //===----------------------------------------------------------------------===//
